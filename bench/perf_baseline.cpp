@@ -7,9 +7,8 @@
 //      (--jobs 1) and across the worker pool (--jobs N), with the two
 //      metrics CSVs compared byte for byte — the speedup only counts if
 //      the science is unchanged;
-//   2. the DP hot path (PR 3): fast-path / cache-hit counters and wall time
-//      with the knapsack memo cache on vs off, with the headline metrics
-//      compared exactly — cached runs must schedule identically;
+//   (2. removed with the DP result cache it compared on vs off; the other
+//      legs keep their numbers so docs and older records still line up.)
 //   3. the event kernel (PR 4): the slab/free-list sim::EventQueue against
 //      the retired shared_ptr/hash-set queue (reference_event_queue.hpp)
 //      under identical schedule/pop and cancellation-heavy workloads, same
@@ -42,8 +41,8 @@
 //      never-materialized synthetic path (chunked generation with load
 //      calibration) is equally invisible.
 //  10. event-throughput levers (PR 9): the granularity-1 wide-machine
-//      campaign shape with the calendar event queue, the SIMD DP rows and
-//      speculative DP all reverted vs the shipping defaults — fingerprints
+//      campaign shape with the calendar event queue and the SIMD DP rows
+//      both reverted vs the shipping defaults — fingerprints
 //      byte-compared (hard gate) — plus an *advisory* throughput check:
 //      when the committed BENCH_PR9.json was recorded on this same host
 //      profile (host_cores and threads both equal) and the lever-on leg
@@ -238,33 +237,6 @@ int main(int argc, char** argv) {
   const bool csv_identical = slurp(serial_csv) == slurp(parallel_csv);
   const double speedup =
       parallel_seconds > 0 ? serial_seconds / parallel_seconds : 0.0;
-
-  // --- leg 2: DP hot path, memo cache on vs off ------------------------
-  es::exp::RunSpec spec;
-  spec.workload = config;
-  spec.workload.target_load = 0.9;  // Fig-7's most DP-intensive point
-  spec.algorithm = "Delayed-LOS";
-  spec.options = algo;
-
-  spec.options.dp_cache = true;
-  t0 = std::chrono::steady_clock::now();
-  const es::exp::Aggregate cached =
-      es::exp::run_replicated(spec, options.replications);
-  const double cached_seconds = seconds_since(t0);
-
-  spec.options.dp_cache = false;
-  t0 = std::chrono::steady_clock::now();
-  const es::exp::Aggregate uncached =
-      es::exp::run_replicated(spec, options.replications);
-  const double uncached_seconds = seconds_since(t0);
-
-  const bool cache_identical = cached.utilization == uncached.utilization &&
-                               cached.mean_wait == uncached.mean_wait &&
-                               cached.slowdown == uncached.slowdown;
-  const double hit_rate =
-      cached.dp.calls > 0 ? static_cast<double>(cached.dp.cache_hits) /
-                                static_cast<double>(cached.dp.calls)
-                          : 0.0;
 
   // --- leg 3: event kernel, slab queue vs retired reference ------------
   const std::size_t micro_n = 10000;
@@ -587,7 +559,6 @@ int main(int argc, char** argv) {
   lever_on.engine.machine_procs = 4096;
   es::core::AlgorithmOptions lever_off = lever_on;
   lever_off.engine.calendar_event_queue = false;
-  lever_off.engine.speculative_dp = false;
   es::util::set_global_parallelism(options.parallel_jobs);
   es::core::set_dp_simd_enabled(false);
   const es::bench::ScaleLeg levers_off_leg =
@@ -612,14 +583,6 @@ int main(int argc, char** argv) {
               "csv identical: %s\n",
               serial_seconds, parallel_jobs, parallel_seconds, speedup,
               csv_identical ? "yes" : "NO");
-  std::printf("dp cache: on %.3fs, off %.3fs, hit rate %.1f%%, "
-              "fast-path %.1f%%, metrics identical: %s\n",
-              cached_seconds, uncached_seconds, 100.0 * hit_rate,
-              cached.dp.calls > 0
-                  ? 100.0 * static_cast<double>(cached.dp.fast_path) /
-                        static_cast<double>(cached.dp.calls)
-                  : 0.0,
-              cache_identical ? "yes" : "NO");
   std::printf("event kernel: slab %.2fM ev/s vs reference %.2fM ev/s "
               "(%.2fx); cancel-heavy %.2fM vs %.2fM (%.2fx)\n",
               slab_schedule_eps / 1e6, reference_schedule_eps / 1e6,
@@ -693,16 +656,6 @@ int main(int argc, char** argv) {
             << ", \"speedup\": " << speedup
             << ", \"csv_identical\": " << (csv_identical ? "true" : "false")
             << "},\n"
-            << "  \"dp\": {\"calls\": " << cached.dp.calls
-            << ", \"fast_path\": " << cached.dp.fast_path
-            << ", \"cache_hits\": " << cached.dp.cache_hits
-            << ", \"table_runs\": " << cached.dp.table_runs
-            << ", \"table_cells\": " << cached.dp.table_cells
-            << ", \"cache_hit_rate\": " << hit_rate
-            << ", \"cached_seconds\": " << cached_seconds
-            << ", \"uncached_seconds\": " << uncached_seconds
-            << ", \"metrics_identical\": "
-            << (cache_identical ? "true" : "false") << "},\n"
             << "  \"event_kernel\": {\"micro_events\": " << micro_n
             << ", \"slab_events_per_second\": " << slab_schedule_eps
             << ", \"reference_events_per_second\": " << reference_schedule_eps
@@ -763,10 +716,10 @@ int main(int argc, char** argv) {
   }
   std::printf("[json] %s\n", out_path.c_str());
   // The equivalences are correctness gates, not just measurements: the
-  // parallel campaign, the DP cache, the slab kernel and the observer
-  // chain must all leave the simulated science untouched.
+  // parallel campaign, the slab kernel and the observer chain must all
+  // leave the simulated science untouched.
   // The advisory throughput check is deliberately absent here.
-  return (csv_identical && cache_identical && golden_identical &&
+  return (csv_identical && golden_identical &&
           chain_identical && crash_identical && parallel_dp_identical &&
           streamed_identical && generator_stream_identical &&
           levers_identical)

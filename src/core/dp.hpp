@@ -16,34 +16,19 @@
 // the machine granularity — 32 on BlueGene/P), which keeps the DP tables
 // tiny; callers convert.  A reusable workspace avoids per-cycle allocation.
 //
-// Hot-path structure (PR 3, widened PR 8): every call resolves through,
-// in order,
+// Hot-path structure: every call resolves through one of two stages,
 //  1. the *fast path* — when the total eligible demand fits the capacity
 //     (and, for Reservation_DP, the total shadow demand fits the shadow
 //     capacity), the optimum is "take everything", no table needed;
-//  2. the *result cache* — a memo of recent (weights, shadows,
-//     capacities) -> selection pairs, keyed on the *normalized* instance:
-//     items the fill can never select (weight 0, weight over capacity,
-//     shadow weight over shadow capacity) are zeroed in the key, so
-//     scheduling events that only perturb ineligible jobs — an arrival too
-//     large for the free grains, an ECC resize of an already-too-big
-//     queued job — re-pose the same key and the cache answers in O(n)
-//     instead of O(n * capacity^2).  The compare on normalized weights is
-//     still exact (a hit is always sound); entries carry a FNV-1a
-//     fingerprint of the key, so a probe is one hash compare per slot and
-//     the element-wise compare runs only on fingerprint agreement — which
-//     let the cache grow from 8 to 256 slots (the 8-slot round-robin
-//     evicted instances long before the schedule re-posed them: ~1.7% hit
-//     rate on the PR 5 baseline);
-//  3. the full table fill, with the keep table bitpacked (1 bit per cell,
-//     8x smaller than the byte table it replaces) for cache residency.
+//  2. the full table fill, with the keep table bitpacked (1 bit per cell,
+//     8x smaller than a byte table) for cache residency.
 //     Basic_DP tables wider than a threshold run *blocked*: the column
 //     range is tiled into 64-aligned blocks filled double-buffered, and
 //     the blocks fan out across util::ThreadPool when the global
 //     parallelism is > 1 — each block writes disjoint value cells and
 //     disjoint keep words, so the fill is race-free and the backtrack
 //     reads the same table the serial fill would have produced.
-// All paths return bit-identical selections; the kernels stay pure
+// Both stages return bit-identical selections; the kernels stay pure
 // functions of their arguments.
 #pragma once
 
@@ -59,13 +44,11 @@ struct JobRun;
 
 namespace es::core {
 
-/// Reusable DP buffers, result cache and counters; one per policy instance.
+/// Reusable DP buffers and counters; one per policy instance.
 struct DpWorkspace {
   std::vector<std::int64_t> value;   ///< dp table, flattened
   std::vector<std::int64_t> value2;  ///< previous row, blocked fills only
   std::vector<std::uint64_t> keep;   ///< per-item take decisions, bitpacked
-  std::vector<int> key_weights;      ///< normalized-cache-key scratch
-  std::vector<int> key_shadows;      ///< (ineligible items zeroed out)
 
   /// Per-cycle eligibility-scan scratch, reused by the LOS-family policies
   /// so the hot scheduling cycle performs no heap allocation.  The scans
@@ -74,46 +57,6 @@ struct DpWorkspace {
   std::vector<sched::JobRun*> eligible_scratch;
   std::vector<int> weights_scratch;
   std::vector<int> shadows_scratch;
-
-  /// Memo of recent instances, keyed on the normalized weights (ineligible
-  /// items zeroed — see normalize_key in dp.cpp).  Entries store full
-  /// copies of the key and are compared element-wise on fingerprint
-  /// agreement, so a hit is always sound (no fingerprint collisions); the
-  /// slot count bounds both memory and probe cost.
-  struct CacheEntry {
-    bool used = false;
-    bool reservation = false;  ///< reservation_dp (vs basic_dp) instance
-    /// Inserted by the speculative pipeline (warm_basic_dp_cache) and not
-    /// yet probed.  A hit on such an entry counts in both cache_hits and
-    /// spec_hits; eviction while still set counts in spec_discarded.
-    bool speculative = false;
-    int capacity = 0;
-    int shadow_capacity = 0;
-    std::uint64_t fingerprint = 0;  ///< FNV-1a over the full instance key
-    std::vector<int> weights;
-    std::vector<int> shadow_weights;  ///< empty for basic_dp entries
-    std::vector<int> selected;
-  };
-  static constexpr std::size_t kDefaultCacheSlots = 256;
-  std::vector<CacheEntry> cache =
-      std::vector<CacheEntry>(kDefaultCacheSlots);
-  /// Fingerprint of each cache slot, mirrored out of CacheEntry so the
-  /// probe scans one dense word array (2 KiB at the default slot count)
-  /// instead of striding across the fat entries; a slot's entry is touched
-  /// only on fingerprint agreement.  Invariant: cache_fps[i] ==
-  /// cache[i].fingerprint whenever cache[i].used.
-  std::vector<std::uint64_t> cache_fps =
-      std::vector<std::uint64_t>(kDefaultCacheSlots, 0);
-  std::size_t cache_clock = 0;  ///< round-robin eviction cursor
-  bool cache_enabled = true;    ///< AlgorithmOptions::dp_cache
-
-  /// Resizes (and clears) the result cache.  Slot count is clamped to
-  /// >= 1; AlgorithmOptions::dp_cache_slots plumbs through here.
-  void set_cache_slots(std::size_t slots) {
-    cache.assign(slots > 0 ? slots : 1, CacheEntry{});
-    cache_fps.assign(cache.size(), 0);
-    cache_clock = 0;
-  }
 
   sched::DpCounters counters;
 };
@@ -154,22 +97,11 @@ bool dp_simd_enabled();
 /// Human-readable tier name ("scalar", "sse4.2", "avx2").
 const char* dp_simd_level_name(DpSimdLevel level);
 
-/// Inserts a speculatively precomputed Basic_DP result into `ws`'s result
-/// cache, keyed exactly as basic_dp() would key the same instance, and
-/// marks the entry speculative.  `selected` must be the table-fill
-/// selection for (weights, capacity) — the caller computed it off-thread
-/// on a scratch workspace.  Call on the owning (main) thread only: the
-/// workspace is not thread-safe.  Pure cache warming — a later basic_dp()
-/// call either hits the exact-keyed entry (identical selection to the fill
-/// it skipped) or ignores it, so scheduling decisions cannot change.
-void warm_basic_dp_cache(std::span<const int> weights, int capacity,
-                         const std::vector<int>& selected, DpWorkspace& ws);
-
 namespace detail {
 
-/// The unconditional table fills, bypassing the fast path and the cache.
-/// Exposed for the equivalence tests and microbenchmarks that prove the
-/// fast paths select identically; production code calls the wrappers above.
+/// The unconditional table fills, bypassing the fast path.  Exposed for
+/// the equivalence tests and microbenchmarks that prove the fast path
+/// selects identically; production code calls the wrappers above.
 std::vector<int> basic_dp_table(std::span<const int> weights, int capacity,
                                 DpWorkspace& ws);
 std::vector<int> reservation_dp_table(std::span<const int> weights,

@@ -40,7 +40,7 @@ struct Aggregate {
   double mean_dedicated_delay = 0;
   std::uint64_t ecc_processed = 0;
   /// DP hot-path counters summed over the replications (calls, fast-path
-  /// exits, cache hits) — deterministic, used by perf baselines.
+  /// exits, table runs) — deterministic, used by perf baselines.
   sched::DpCounters dp;
   /// Event-kernel traffic over the replications (scheduled/cancelled/fired
   /// summed, peak pending maxed) — deterministic, like the DP counters.

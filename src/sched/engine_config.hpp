@@ -89,12 +89,6 @@ struct EngineConfig {
   /// (time, class, seq) order, so results are byte-identical either way;
   /// the switch exists for differential tests and before/after benchmarks.
   bool calendar_event_queue = true;
-  /// Precompute the next cycle's DP table on the worker pool while the
-  /// event queue drains (speculative cycle pipelining).  Pure cache
-  /// warming keyed on the exact DP inputs — selections never change, only
-  /// where they were computed.  Requires global parallelism > 1 to do
-  /// anything.
-  bool speculative_dp = true;
   /// Attach a TraceObserver recording a full schedule audit trace
   /// (sched/trace.hpp) to the result.  Off by default — it grows with the
   /// event count.

@@ -83,7 +83,7 @@ struct SimulationResult {
   double offered_load = 0;     ///< load of the input workload
   EccStats ecc;                ///< ECC processor statistics (if enabled)
   FailureStats failure;        ///< fault-injection statistics (if enabled)
-  /// Hot-path counters (DP calls / cache hits / fast-path exits) and wall
+  /// Hot-path counters (DP calls / fast-path exits / table runs) and wall
   /// timings.  Counters are deterministic; the wall fields are measurement
   /// only and never enter metrics CSVs.
   PerfStats perf;

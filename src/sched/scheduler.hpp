@@ -110,40 +110,20 @@ class Scheduler {
   /// run start and reports the per-run delta in SimulationResult::perf.
   virtual DpCounters dp_counters() const { return {}; }
 
-  /// Toggles the DP result cache (no-op for policies without DP kernels).
-  /// On by default; the off switch exists so tests and benchmarks can prove
-  /// cached and uncached runs schedule identically.
-  virtual void set_dp_cache(bool /*enabled*/) {}
-
-  /// Resizes the DP result cache (no-op for policies without DP kernels).
-  /// More slots survive longer between re-posed instances; probe cost is a
-  /// fingerprint compare per slot.  Resizing clears the cache.
-  virtual void set_dp_cache_slots(std::size_t /*slots*/) {}
-
-  /// Opportunistically precompute work for the *next* cycle off-thread
-  /// while the engine drains events (speculative cycle pipelining).  The
-  /// engine calls this after cycle() when EngineConfig::speculative_dp is
-  /// set and a thread pool is up.  Implementations must only *warm caches*
-  /// — a speculation, hit or missed, may never change a scheduling
-  /// decision.  Default: no speculation.
-  virtual void speculate(const SchedulerContext& /*ctx*/) {}
-
-  /// Folds any completed speculation into policy state; the engine calls
-  /// this immediately before every cycle().  Must be cheap when nothing is
-  /// in flight.
-  virtual void settle_speculation() {}
-
-  /// Run-end barrier: block until in-flight speculation completes and
-  /// discard it.  The engine calls this when a run finishes (and before a
-  /// snapshot restore) so no speculative task outlives the run it was
-  /// predicted from.
-  virtual void finish_speculation() {}
+  // No-op hooks kept only because perfbench/layers.hpp overrides them;
+  // nothing in src/ overrides or calls them.  A later benchmark change can
+  // drop them.
+  virtual void set_dp_cache(bool /*enabled*/) {}  // perfbench only
+  virtual void set_dp_cache_slots(std::size_t /*slots*/) {}  // perfbench only
+  virtual void speculate(const SchedulerContext& /*ctx*/) {}  // perfbench only
+  virtual void settle_speculation() {}  // perfbench only
+  virtual void finish_speculation() {}  // perfbench only
 
   /// Serializes policy state that influences *future* scheduling decisions
   /// into the open snapshot section.  Most policies are stateless across
-  /// cycles (tunables are reconstructed from config; DP caches are keyed on
-  /// (run_epoch, active_version) and rebuild deterministically), so the
-  /// default writes nothing.  Policies with semantic cross-cycle state —
+  /// cycles (tunables are reconstructed from config and the DP workspaces
+  /// hold only per-call scratch and counters), so the default writes
+  /// nothing.  Policies with semantic cross-cycle state —
   /// the adaptive selector's sliding decision window — must override both
   /// hooks or a restored run would silently diverge.
   virtual void save_state(snap::SnapshotWriter& /*writer*/) const {}

@@ -12,6 +12,7 @@
 #include "exp/experiment.hpp"
 #include "exp/report.hpp"
 #include "exp/sweep.hpp"
+#include "testing/temp_path.hpp"
 #include "util/thread_pool.hpp"
 
 namespace es::exp {
@@ -32,7 +33,7 @@ class ParallelDeterminism : public ::testing::Test {
   }
 
   static std::string csv_bytes(const Sweep& sweep, const std::string& name) {
-    const std::string path = ::testing::TempDir() + "/" + name;
+    const std::string path = es::testing::unique_temp_path(name);
     EXPECT_TRUE(write_sweep_csv(path, sweep));
     std::ifstream in(path, std::ios::binary);
     std::ostringstream out;
@@ -65,7 +66,7 @@ TEST_F(ParallelDeterminism, RunReplicatedAggregateIsBitwiseEqual) {
   EXPECT_EQ(serial.mean_dedicated_delay, parallel.mean_dedicated_delay);
   EXPECT_EQ(serial.ecc_processed, parallel.ecc_processed);
   EXPECT_EQ(serial.dp.calls, parallel.dp.calls);
-  EXPECT_EQ(serial.dp.cache_hits, parallel.dp.cache_hits);
+  EXPECT_EQ(serial.dp.table_runs, parallel.dp.table_runs);
 }
 
 TEST_F(ParallelDeterminism, LoadSweepCsvIsByteIdenticalAtJobs8) {

@@ -8,6 +8,7 @@
 #include <sstream>
 
 #include "exp/report.hpp"
+#include "testing/temp_path.hpp"
 
 namespace es::exp {
 namespace {
@@ -135,7 +136,7 @@ TEST(Report, PrintImprovementsRendersPaperStyleRows) {
 TEST(Report, CsvRoundTripsRowCount) {
   const Sweep sweep = load_sweep(small_config(), {0.7, 0.9},
                                  {"EASY", "LOS"}, {}, 1);
-  const std::string path = ::testing::TempDir() + "/sweep_test.csv";
+  const std::string path = es::testing::unique_temp_path("sweep_test.csv");
   ASSERT_TRUE(write_sweep_csv(path, sweep));
   std::ifstream in(path);
   ASSERT_TRUE(in.good());
@@ -150,7 +151,7 @@ TEST(Report, CsvRoundTripsRowCount) {
 TEST(Report, GnuplotScriptReferencesCsvAndSeries) {
   const Sweep sweep = load_sweep(small_config(), {0.7, 0.9},
                                  {"EASY", "LOS"}, {}, 1);
-  const std::string path = ::testing::TempDir() + "/sweep_test.gp";
+  const std::string path = es::testing::unique_temp_path("sweep_test.gp");
   ASSERT_TRUE(write_sweep_gnuplot(path, "sweep_test.csv", "Test title",
                                   sweep, {"EASY", "LOS"}));
   std::ifstream in(path);

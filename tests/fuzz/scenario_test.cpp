@@ -9,12 +9,13 @@
 #include <fstream>
 
 #include "fuzz/hostile.hpp"
+#include "testing/temp_path.hpp"
 
 namespace es::fuzz {
 namespace {
 
 std::filesystem::path temp_path(const std::string& leaf) {
-  return std::filesystem::path(::testing::TempDir()) / leaf;
+  return es::testing::unique_temp_path(leaf);
 }
 
 TEST(ScenarioFormat, RoundTripsEveryHostileFamily) {

@@ -6,6 +6,7 @@
 #include <cstdio>
 
 #include "testing/helpers.hpp"
+#include "testing/temp_path.hpp"
 #include "workload/cwf.hpp"
 #include "workload/generator.hpp"
 
@@ -142,7 +143,7 @@ TEST(Scenarios, CwfRoundTripPreservesSchedule) {
   }
   original.normalize();
 
-  const std::string path = ::testing::TempDir() + "/roundtrip.cwf";
+  const std::string path = es::testing::unique_temp_path("roundtrip.cwf");
   ASSERT_TRUE(workload::save_cwf_workload(path, original));
   workload::Workload loaded = workload::load_cwf_workload(path);
   loaded.machine_procs = original.machine_procs;

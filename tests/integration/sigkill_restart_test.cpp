@@ -18,6 +18,8 @@
 #include <string>
 #include <thread>
 
+#include "testing/temp_path.hpp"
+
 namespace {
 
 std::string read_all(const std::string& path) {
@@ -42,10 +44,10 @@ std::size_t ring_size(const std::string& dir) {
 
 TEST(SigkillRestart, ResumedPerJobCsvMatchesUninterruptedRun) {
   const std::string simrun = ES_SIMRUN_BIN;
-  const std::string tmp = ::testing::TempDir();
-  const std::string ring_dir = tmp + "sigkill_ring";
-  const std::string ref_csv = tmp + "sigkill_ref.csv";
-  const std::string resumed_csv = tmp + "sigkill_resumed.csv";
+  const std::string ring_dir = es::testing::unique_temp_path("sigkill_ring");
+  const std::string ref_csv = es::testing::unique_temp_path("sigkill_ref.csv");
+  const std::string resumed_csv =
+      es::testing::unique_temp_path("sigkill_resumed.csv");
   std::error_code ec;
   std::filesystem::remove_all(ring_dir, ec);
   std::remove(ref_csv.c_str());
@@ -110,7 +112,7 @@ TEST(SigkillRestart, ResumedPerJobCsvMatchesUninterruptedRun) {
 
 TEST(SigkillRestart, RestoreFromEmptyRingFailsWithCorruptExitCode) {
   const std::string simrun = ES_SIMRUN_BIN;
-  const std::string dir = ::testing::TempDir() + "sigkill_empty_ring";
+  const std::string dir = es::testing::unique_temp_path("sigkill_empty_ring");
   std::filesystem::create_directories(dir);
   const int status = std::system(
       (simrun + " --synthetic --num-jobs 10 --restore-from " + dir +

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "testing/helpers.hpp"
+#include "testing/temp_path.hpp"
 #include "workload/generator.hpp"
 #include "workload/source.hpp"
 #include "workload/swf.hpp"
@@ -220,7 +221,7 @@ TEST(GeneratorSource, NoCalibrationWithoutTargetLoad) {
 
 /// Writes `text` to a unique temp file and returns the path.
 std::string write_temp_swf(const std::string& name, const std::string& text) {
-  const std::string path = ::testing::TempDir() + name;
+  const std::string path = es::testing::unique_temp_path(name);
   std::ofstream out(path);
   out << text;
   return path;
