@@ -7,7 +7,9 @@
 //      it at a random event boundary; the run is then resumed from the last
 //      snapshot taken before the kill.  The resumed result must serialize
 //      byte-identically to the uninterrupted run — for every kill point,
-//      across batch/elastic and heterogeneous/faulty workloads.  Full mode
+//      across batch/elastic and heterogeneous/faulty workloads, and on a
+//      streamed run that never materializes its trace (a GeneratorSource
+//      re-generated up to the snapshot's cursor on resume).  Full mode
 //      injects >= 200 kill points; --quick a couple dozen.
 //   2. corruption matrix: a captured snapshot image is mutilated —
 //      truncated at sampled lengths, single-bit-flipped at sampled offsets,
@@ -21,6 +23,9 @@
 // 1 does no filesystem traffic; leg 3 exercises the real ring directory.
 #include <cstdio>
 #include <filesystem>
+#include <functional>
+#include <memory>
+#include <optional>
 #include <string>
 #include <unistd.h>
 #include <vector>
@@ -30,47 +35,80 @@
 #include "snap/ring.hpp"
 #include "snap/snapshot.hpp"
 #include "util/rng.hpp"
+#include "workload/source.hpp"
 
 namespace {
 
 struct CrashCase {
   std::string name;
-  es::workload::Workload workload;
+  es::workload::Workload workload;  ///< materialized cases
+  /// Streamed cases: the trace is only ever pulled from a GeneratorSource.
+  std::optional<es::workload::GeneratorConfig> stream;
   es::core::AlgorithmOptions options;
   std::string algorithm;
   std::string expected;          ///< uninterrupted deterministic CSV
   std::uint64_t events = 0;      ///< uninterrupted event count
 };
 
-/// Runs the case killed at `kill_events` and resumed from the last
-/// pre-kill snapshot.  Returns true when the resumed result matches the
-/// uninterrupted serialization byte for byte.
-bool kill_and_resume_matches(const CrashCase& test, std::uint64_t kill_events,
-                             std::uint64_t* snapshots_out) {
+/// A fresh source over the case's trace; streamed cases pull 16-job chunks
+/// so kill points land on every side of a refill.
+std::unique_ptr<es::workload::JobSource> source_of(const CrashCase& test) {
+  if (test.stream)
+    return std::make_unique<es::workload::GeneratorSource>(*test.stream, 16);
+  return std::make_unique<es::workload::MaterializedSource>(test.workload);
+}
+
+es::sched::SimulationResult run_case(
+    const CrashCase& test, const es::core::AlgorithmOptions& options,
+    const std::function<void(es::sched::Engine&)>& prepare = {}) {
+  return es::exp::run_source(*source_of(test), test.algorithm, options,
+                             prepare);
+}
+
+/// The case resumed from a snapshot: the source is re-pulled up to the
+/// snapshot's cursor.
+es::sched::SimulationResult resume_case(const CrashCase& test,
+                                        es::snap::SnapshotReader& reader) {
+  return es::exp::resume_source(*source_of(test), test.algorithm,
+                                test.options, reader);
+}
+
+/// The newest snapshot image of the case killed at `kill_events` (empty
+/// when the kill landed before the first snapshot); counts the images.
+std::string snapshot_before_kill(const CrashCase& test,
+                                 std::uint64_t kill_events,
+                                 std::uint64_t* snapshots_out = nullptr) {
   es::core::AlgorithmOptions killed = test.options;
   killed.engine.snapshot.every_cycles = 1;
   killed.engine.watchdog.max_events = kill_events;
   std::string last_snapshot;
   std::uint64_t snapshots = 0;
-  (void)es::exp::run_workload_prepared(
-      test.workload, test.algorithm, killed,
-      [&last_snapshot, &snapshots](es::sched::Engine& engine) {
-        engine.set_snapshot_sink(
-            [&last_snapshot, &snapshots](const std::string& image) {
-              last_snapshot = image;
-              ++snapshots;
-            });
-      });
+  (void)run_case(test, killed,
+                 [&last_snapshot, &snapshots](es::sched::Engine& engine) {
+                   engine.set_snapshot_sink(
+                       [&last_snapshot, &snapshots](const std::string& image) {
+                         last_snapshot = image;
+                         ++snapshots;
+                       });
+                 });
   if (snapshots_out != nullptr) *snapshots_out += snapshots;
+  return last_snapshot;
+}
+
+/// Runs the case killed at `kill_events` and resumed from the last
+/// pre-kill snapshot.  Returns true when the resumed result matches the
+/// uninterrupted serialization byte for byte.
+bool kill_and_resume_matches(const CrashCase& test, std::uint64_t kill_events,
+                             std::uint64_t* snapshots_out) {
+  const std::string last_snapshot =
+      snapshot_before_kill(test, kill_events, snapshots_out);
   es::sched::SimulationResult resumed;
   if (last_snapshot.empty()) {
     // Killed before the first snapshot: recovery is a fresh full run.
-    resumed = es::exp::run_workload(test.workload, test.algorithm,
-                                    test.options);
+    resumed = run_case(test, test.options);
   } else {
     es::snap::SnapshotReader reader(last_snapshot);
-    resumed = es::exp::resume_workload(test.workload, test.algorithm,
-                                       test.options, reader);
+    resumed = resume_case(test, reader);
   }
   return es::bench::result_fingerprint_csv(resumed) == test.expected;
 }
@@ -81,8 +119,7 @@ bool kill_and_resume_matches(const CrashCase& test, std::uint64_t kill_events,
 bool rejected(const CrashCase& test, const std::string& image) {
   try {
     es::snap::SnapshotReader reader(image);
-    (void)es::exp::resume_workload(test.workload, test.algorithm,
-                                   test.options, reader);
+    (void)resume_case(test, reader);
   } catch (const es::snap::SnapshotError&) {
     return true;
   }
@@ -147,10 +184,17 @@ int main(int argc, char** argv) {
     adaptive.algorithm = "Adaptive";
     adaptive.options = es::bench::algo_options(options);
     cases.push_back(adaptive);
+
+    CrashCase streamed = hetero;  // same engine options, never materialized
+    streamed.name = "streamed-generator";
+    streamed.workload = {};
+    streamed.stream = hetero_config;
+    streamed.stream->seed = options.seed + 57;
+    cases.push_back(streamed);
   }
   for (CrashCase& test : cases) {
     const es::sched::SimulationResult uninterrupted =
-        es::exp::run_workload(test.workload, test.algorithm, test.options);
+        run_case(test, test.options);
     test.expected = es::bench::result_fingerprint_csv(uninterrupted);
     test.events = uninterrupted.events;
   }
@@ -181,16 +225,7 @@ int main(int argc, char** argv) {
   int accepted_mutations = 0;
   int mutations = 0;
   for (const CrashCase& test : cases) {
-    es::core::AlgorithmOptions killed = test.options;
-    killed.engine.snapshot.every_cycles = 1;
-    killed.engine.watchdog.max_events = test.events / 2 + 1;
-    std::string image;
-    (void)es::exp::run_workload_prepared(
-        test.workload, test.algorithm, killed,
-        [&image](es::sched::Engine& engine) {
-          engine.set_snapshot_sink(
-              [&image](const std::string& bytes) { image = bytes; });
-        });
+    const std::string image = snapshot_before_kill(test, test.events / 2 + 1);
     if (image.empty()) {
       std::printf("corruption matrix: %s captured no snapshot\n",
                   test.name.c_str());

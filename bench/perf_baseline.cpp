@@ -33,13 +33,10 @@
 //      filled serially and through the thread pool, with every selection
 //      compared element for element — the tiled double-buffered fill must
 //      be invisible in the selections — plus the cells/second of each.
-//   9. streamed ingestion (PR 8): every factory algorithm run materialized
-//      (Engine::run) and pulled through a bounded-chunk JobSource
-//      (Engine::run_streamed) over the same workload — the leg-7 fault +
-//      checkpoint + ECC traces — with the full deterministic result
-//      serialization byte-compared, plus a GeneratorSource leg proving the
-//      never-materialized synthetic path (chunked generation with load
-//      calibration) is equally invisible.
+//  (9. removed once Engine::run became a MaterializedSource drained through
+//      Engine::run_streamed: its streamed-vs-materialized parity is the
+//      same code path now; chunk-size invariance stays gated by
+//      tests/sched/streamed_engine_test.cpp.)
 //  10. event-throughput levers (PR 9): the granularity-1 wide-machine
 //      campaign shape with the calendar event queue and the SIMD DP rows
 //      both reverted vs the shipping defaults — fingerprints
@@ -489,50 +486,6 @@ int main(int argc, char** argv) {
   const double parallel_dp_speedup =
       dp_parallel_seconds > 0 ? dp_serial_seconds / dp_parallel_seconds : 0.0;
 
-  // --- leg 9: streamed-ingestion equivalence ----------------------------
-  // The leg-7 workloads again (ECCs everywhere; faults, checkpoints and
-  // dedicated jobs on the heterogeneous trace), each algorithm run once
-  // materialized and once through a deliberately small-chunk
-  // MaterializedSource so refill boundaries land mid-backlog.  The
-  // GeneratorSource leg streams the synthetic trace without materializing
-  // it at all — chunked generation plus load calibration must reproduce
-  // generate() bit for bit.
-  bool streamed_identical = true;
-  bool generator_stream_identical = true;
-  int streamed_algorithms = 0;
-  for (const std::string& name : es::core::algorithm_names()) {
-    const bool dedicated_aware =
-        es::core::make_algorithm(name).policy->supports_dedicated();
-    const es::workload::Workload& stream_load =
-        dedicated_aware ? crash_hetero : crash_batch;
-    const es::core::AlgorithmOptions& stream_algo =
-        dedicated_aware ? crash_hetero_algo : algo;
-    const std::string expected = es::bench::result_fingerprint_csv(
-        es::exp::run_workload(stream_load, name, stream_algo));
-    es::workload::MaterializedSource source(stream_load, 64);
-    const std::string streamed = es::bench::result_fingerprint_csv(
-        es::exp::run_source(source, name, stream_algo));
-    ++streamed_algorithms;
-    if (streamed != expected) {
-      std::printf("streamed ingestion: %s DIVERGED from materialized\n",
-                  name.c_str());
-      streamed_identical = false;
-    }
-  }
-  {
-    // crash_batch's exact generator configuration (crash_config was
-    // re-seeded for the heterogeneous trace afterwards).
-    es::workload::GeneratorConfig gen_config = crash_config;
-    gen_config.p_dedicated = 0;
-    gen_config.seed = options.seed;
-    es::workload::GeneratorSource source(gen_config, 128);
-    generator_stream_identical =
-        es::bench::result_fingerprint_csv(
-            es::exp::run_source(source, "Delayed-LOS", algo)) ==
-        es::bench::result_fingerprint_csv(
-            es::exp::run_workload(crash_batch, "Delayed-LOS", algo));
-  }
-
   // --- leg 10: PR 9 event-throughput levers -----------------------------
   // Same shape and sizing as the committed BENCH_PR9.json campaign leg so
   // the measured events/s is comparable to the recorded baseline: at load
@@ -609,10 +562,6 @@ int main(int argc, char** argv) {
               dp_instances, static_cast<double>(dp_cells) / 1e6,
               dp_serial_seconds, dp_parallel_seconds, parallel_dp_speedup,
               parallel_dp_identical ? "yes" : "NO");
-  std::printf("streamed ingestion: %d algorithms materialized vs streamed, "
-              "results identical: %s; generator stream identical: %s\n",
-              streamed_algorithms, streamed_identical ? "yes" : "NO",
-              generator_stream_identical ? "yes" : "NO");
   std::printf("event-throughput levers: off %.0f ev/s, on %.0f ev/s "
               "(%.2fx), results identical: %s\n",
               levers_off_leg.events_per_second,
@@ -690,11 +639,6 @@ int main(int argc, char** argv) {
             << ", \"speedup\": " << parallel_dp_speedup
             << ", \"selections_identical\": "
             << (parallel_dp_identical ? "true" : "false") << "},\n"
-            << "  \"streamed_ingestion\": {\"algorithms\": "
-            << streamed_algorithms << ", \"identical\": "
-            << (streamed_identical ? "true" : "false")
-            << ", \"generator_identical\": "
-            << (generator_stream_identical ? "true" : "false") << "},\n"
             << "  \"event_throughput\": {\"num_jobs\": " << lever_jobs
             << ", \"levers_off_events_per_second\": "
             << levers_off_leg.events_per_second
@@ -721,7 +665,6 @@ int main(int argc, char** argv) {
   // The advisory throughput check is deliberately absent here.
   return (csv_identical && golden_identical &&
           chain_identical && crash_identical && parallel_dp_identical &&
-          streamed_identical && generator_stream_identical &&
           levers_identical)
              ? 0
              : 1;

@@ -75,9 +75,9 @@ double UtilizationTracker::busy_proc_seconds(sim::Time from,
     // integrate(steps_, last_, first_, last_) would sum (one per record, in
     // record order — same-instant records contribute an exact +0.0), so a
     // [first_, >= last_] query reproduces the retained-mode double bit for
-    // bit.  A query ending inside the recorded range (watchdog-aborted
-    // streaming runs only) cannot be truncated without the steps; return
-    // the integral through last_ as a documented over-approximation.
+    // bit.  A query ending inside the recorded range cannot be truncated
+    // without the steps; it returns the integral through last_ (the engine
+    // never asks: it reads integral() at its last finish instead).
     ES_EXPECTS(from <= first_);
     if (to <= first_) return 0.0;
     double sum = integral_;
@@ -96,14 +96,13 @@ double UtilizationTracker::available_proc_seconds(sim::Time from,
 }
 
 UtilizationState UtilizationTracker::save_state() const {
+  ES_EXPECTS(bounded_);
   UtilizationState state;
   state.busy = busy_;
   state.first = first_;
   state.last = last_;
   state.started = started_;
   state.integral = integral_;
-  state.steps.reserve(steps_.size());
-  for (const Step& s : steps_) state.steps.emplace_back(s.time, s.busy);
   state.capacity_steps.reserve(capacity_steps_.size());
   for (const Step& s : capacity_steps_) {
     state.capacity_steps.emplace_back(s.time, s.busy);
@@ -112,14 +111,12 @@ UtilizationState UtilizationTracker::save_state() const {
 }
 
 void UtilizationTracker::restore_state(const UtilizationState& state) {
+  ES_EXPECTS(bounded_);
   busy_ = state.busy;
   first_ = state.first;
   last_ = state.last;
   started_ = state.started;
   integral_ = state.integral;
-  steps_.clear();
-  steps_.reserve(state.steps.size());
-  for (const auto& [time, busy] : state.steps) steps_.push_back({time, busy});
   capacity_steps_.clear();
   capacity_steps_.reserve(state.capacity_steps.size());
   for (const auto& [time, busy] : state.capacity_steps) {
@@ -130,15 +127,20 @@ void UtilizationTracker::restore_state(const UtilizationState& state) {
 double UtilizationTracker::mean_utilization(sim::Time from,
                                             sim::Time to) const {
   if (to <= from) return 0.0;
+  return utilization_of(busy_proc_seconds(from, to), from, to);
+}
+
+double UtilizationTracker::utilization_of(double busy, sim::Time from,
+                                          sim::Time to) const {
+  if (to <= from) return 0.0;
   if (capacity_steps_.empty()) {
     // No failures: keep the original single-division arithmetic so results
     // are bit-identical to the pre-failure-model tracker.
-    return busy_proc_seconds(from, to) /
-           (static_cast<double>(capacity_) * (to - from));
+    return busy / (static_cast<double>(capacity_) * (to - from));
   }
   const double available = available_proc_seconds(from, to);
   if (available <= 0) return 0.0;
-  return busy_proc_seconds(from, to) / available;
+  return busy / available;
 }
 
 }  // namespace es::cluster

@@ -12,14 +12,13 @@
 
 namespace es::cluster {
 
-/// Serializable tracker state (snapshot/restore).
+/// Serializable state of a bounded tracker (snapshot/restore).
 struct UtilizationState {
   int busy = 0;
   sim::Time first = 0.0;
   sim::Time last = 0.0;
   bool started = false;
   double integral = 0.0;
-  std::vector<std::pair<sim::Time, int>> steps;
   std::vector<std::pair<sim::Time, int>> capacity_steps;
 };
 
@@ -32,16 +31,16 @@ class UtilizationTracker {
   /// `at` must be non-decreasing across calls; busy in [0, capacity].
   void record(sim::Time at, int busy);
 
-  /// Bounded mode for streaming runs: stop retaining the per-record step
-  /// list (a million-job run would otherwise hold millions of steps) and
-  /// answer busy_proc_seconds from the incremental integral instead.  The
+  /// Bounded mode (the engine's): stop retaining the per-record step list
+  /// (a million-job run would otherwise hold millions of steps) and answer
+  /// busy_proc_seconds from the incremental integral instead.  The
   /// incremental accumulator adds exactly the per-segment terms integrate()
   /// sums, in the same left-to-right order, so queries over
-  /// [first record, >= last record] are bitwise identical to the retained
-  /// mode.  Restrictions: queries must start at the first record, querying
-  /// inside the recorded range (only watchdog-aborted runs do) returns the
-  /// integral through the last record — a documented over-approximation —
-  /// and save_state() is unsupported.  Must be set before the first record.
+  /// [first record, >= last record] — and integral() read right after a
+  /// record — are bitwise identical to the retained mode.  Queries must
+  /// start at the first record; one ending inside the recorded range
+  /// returns the integral through the last record.  Must be set before the
+  /// first record.
   void set_bounded(bool bounded);
 
   /// Records that from `at` onwards `available` processors are in service
@@ -66,6 +65,10 @@ class UtilizationTracker {
   /// are down.  Equals busy / (capacity * span) when no failures occurred.
   double mean_utilization(sim::Time from, sim::Time to) const;
 
+  /// mean_utilization() for a caller that already holds the busy
+  /// proc-seconds of [from, to] (e.g. integral() read at `to`).
+  double utilization_of(double busy, sim::Time from, sim::Time to) const;
+
   int capacity() const { return capacity_; }
   sim::Time first_time() const { return first_; }
   sim::Time last_time() const { return last_; }
@@ -74,10 +77,11 @@ class UtilizationTracker {
   /// Total busy-proc-seconds integrated so far (up to the last record).
   double integral() const { return integral_; }
 
-  /// Captures the mutable accounting state for a snapshot.
+  /// Captures the mutable accounting state of a bounded tracker for a
+  /// snapshot.
   UtilizationState save_state() const;
 
-  /// Restores state captured on a tracker of the same capacity.
+  /// Restores state captured on a bounded tracker of the same capacity.
   void restore_state(const UtilizationState& state);
 
  private:
@@ -92,7 +96,7 @@ class UtilizationTracker {
                           sim::Time from, sim::Time to);
 
   int capacity_;
-  bool bounded_ = false;  ///< no steps_ retention (streaming runs)
+  bool bounded_ = false;  ///< no steps_ retention (engine runs)
   int busy_ = 0;
   sim::Time first_ = 0.0;
   sim::Time last_ = 0.0;

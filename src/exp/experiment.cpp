@@ -14,20 +14,8 @@ namespace es::exp {
 namespace {
 
 /// One config spine: the options carry the EngineConfig verbatim; only
-/// the machine shape (owned by the workload) and the name-derived ECC
-/// flags are overridden.
-sched::EngineConfig engine_config(const workload::Workload& workload,
-                                  const core::Algorithm& algo,
-                                  const core::AlgorithmOptions& options) {
-  sched::EngineConfig config = options.engine;
-  config.machine_procs = workload.machine_procs;
-  config.granularity = workload.granularity;
-  config.process_eccs = algo.process_eccs;
-  config.allow_running_resize = algo.allow_running_resize;
-  return config;
-}
-
-/// Streaming variant: the machine shape comes from the source.
+/// the machine shape (owned by the source) and the name-derived ECC flags
+/// are overridden.
 sched::EngineConfig engine_config(const workload::JobSource& source,
                                   const core::Algorithm& algo,
                                   const core::AlgorithmOptions& options) {
@@ -41,32 +29,29 @@ sched::EngineConfig engine_config(const workload::JobSource& source,
 
 }  // namespace
 
-sched::SimulationResult run_workload(const workload::Workload& workload,
-                                     const std::string& algorithm,
-                                     const core::AlgorithmOptions& options) {
-  // make_algorithm throws UnknownAlgorithmError for bad names, so the
-  // policy is always valid here.
-  core::Algorithm algo = core::make_algorithm(algorithm, options);
-  return sched::simulate(engine_config(workload, algo, options), *algo.policy,
-                         workload);
-}
+// The workload entry points drain a MaterializedSource through the source
+// entry points, as Engine::run() does.
 
 sched::SimulationResult run_workload(const workload::Workload& workload,
                                      const std::string& algorithm,
                                      const core::AlgorithmOptions& options,
                                      sched::EngineObserver* observer,
                                      sched::HookMask mask) {
-  core::Algorithm algo = core::make_algorithm(algorithm, options);
-  sched::Engine engine(engine_config(workload, algo, options), *algo.policy);
-  if (observer != nullptr) engine.add_observer(observer, mask);
-  return engine.run(workload);
+  return run_workload_prepared(
+      workload, algorithm, options, [observer, mask](sched::Engine& engine) {
+        if (observer != nullptr) engine.add_observer(observer, mask);
+      });
 }
 
-sched::SimulationResult run_source(workload::JobSource& source,
-                                   const std::string& algorithm,
-                                   const core::AlgorithmOptions& options) {
+sched::SimulationResult run_source(
+    workload::JobSource& source, const std::string& algorithm,
+    const core::AlgorithmOptions& options,
+    const std::function<void(sched::Engine&)>& prepare) {
+  // make_algorithm throws UnknownAlgorithmError for bad names, so the
+  // policy is always valid here.
   core::Algorithm algo = core::make_algorithm(algorithm, options);
   sched::Engine engine(engine_config(source, algo, options), *algo.policy);
+  if (prepare) prepare(engine);
   return engine.run_streamed(source);
 }
 
@@ -74,19 +59,25 @@ sched::SimulationResult run_workload_prepared(
     const workload::Workload& workload, const std::string& algorithm,
     const core::AlgorithmOptions& options,
     const std::function<void(sched::Engine&)>& prepare) {
-  core::Algorithm algo = core::make_algorithm(algorithm, options);
-  sched::Engine engine(engine_config(workload, algo, options), *algo.policy);
-  if (prepare) prepare(engine);
-  return engine.run(workload);
+  workload::MaterializedSource source(workload);
+  return run_source(source, algorithm, options, prepare);
 }
 
 sched::SimulationResult resume_workload(const workload::Workload& workload,
                                         const std::string& algorithm,
                                         const core::AlgorithmOptions& options,
                                         snap::SnapshotReader& reader) {
+  workload::MaterializedSource source(workload);
+  return resume_source(source, algorithm, options, reader);
+}
+
+sched::SimulationResult resume_source(workload::JobSource& source,
+                                      const std::string& algorithm,
+                                      const core::AlgorithmOptions& options,
+                                      snap::SnapshotReader& reader) {
   core::Algorithm algo = core::make_algorithm(algorithm, options);
-  sched::Engine engine(engine_config(workload, algo, options), *algo.policy);
-  return engine.resume(workload, reader);
+  sched::Engine engine(engine_config(source, algo, options), *algo.policy);
+  return engine.resume(source, reader);
 }
 
 sched::SimulationResult run_once(const RunSpec& spec) {

@@ -51,29 +51,27 @@ struct Aggregate {
 };
 
 /// Runs a prepared workload under a named algorithm.  The engine's machine
-/// is shaped by the workload (procs + granularity).
+/// is shaped by the workload (procs + granularity).  `observer`, when set,
+/// is appended to the engine's attachment chain after the config-selected
+/// built-ins (the invariant-oracle mount point; see fuzz::OracleObserver);
+/// it is not owned and must outlive the call.
 sched::SimulationResult run_workload(const workload::Workload& workload,
                                      const std::string& algorithm,
-                                     const core::AlgorithmOptions& options = {});
-
-/// Same, with an external observer appended to the engine's attachment
-/// chain after the config-selected built-ins (the invariant-oracle mount
-/// point; see fuzz::OracleObserver).  The observer is not owned and must
-/// outlive the call.
-sched::SimulationResult run_workload(const workload::Workload& workload,
-                                     const std::string& algorithm,
-                                     const core::AlgorithmOptions& options,
-                                     sched::EngineObserver* observer,
+                                     const core::AlgorithmOptions& options = {},
+                                     sched::EngineObserver* observer = nullptr,
                                      sched::HookMask mask = sched::kAllHooks);
 
 /// Runs a pull-based job source under a named algorithm without ever
 /// materializing the workload: the engine holds only the jobs in flight
 /// (see Engine::run_streamed).  The machine is shaped by the source.
-/// Metrics are byte-identical to run_workload on the materialized
-/// equivalent; snapshots/restore/paranoid mode are unavailable.
-sched::SimulationResult run_source(workload::JobSource& source,
-                                   const std::string& algorithm,
-                                   const core::AlgorithmOptions& options = {});
+/// run_workload is this same run over a MaterializedSource, so metrics are
+/// byte-identical to it on the materialized equivalent — snapshots,
+/// resume_source and paranoid mode included.  `prepare`, when set, sees the
+/// configured engine just before the run (see run_workload_prepared).
+sched::SimulationResult run_source(
+    workload::JobSource& source, const std::string& algorithm,
+    const core::AlgorithmOptions& options = {},
+    const std::function<void(sched::Engine&)>& prepare = {});
 
 /// Same as run_workload, with a caller hook invoked on the configured
 /// engine just before the run starts — the mount point for snapshot sinks
@@ -92,6 +90,14 @@ sched::SimulationResult resume_workload(const workload::Workload& workload,
                                         const std::string& algorithm,
                                         const core::AlgorithmOptions& options,
                                         snap::SnapshotReader& reader);
+
+/// resume_workload for a streamed run: re-pulls `source` (a fresh source
+/// over the same trace, e.g. a GeneratorSource with the same config) up to
+/// the snapshot's cursor and continues the run to completion.
+sched::SimulationResult resume_source(workload::JobSource& source,
+                                      const std::string& algorithm,
+                                      const core::AlgorithmOptions& options,
+                                      snap::SnapshotReader& reader);
 
 /// Generates the spec's workload (with its seed) and runs it.
 sched::SimulationResult run_once(const RunSpec& spec);

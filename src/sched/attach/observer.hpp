@@ -127,8 +127,10 @@ struct AbortFlag {
 };
 
 /// Lifecycle hooks.  Every callback defaults to a no-op so attachments
-/// override only the sites they observe.  `job` references stay valid for
-/// the whole run (the engine owns the JobRun storage).
+/// override only the sites they observe.  `job` references are valid for
+/// the duration of the callback: the engine releases a finished job's
+/// record once no command still targets it, so observers keep ids, not
+/// pointers.
 class EngineObserver {
  public:
   virtual ~EngineObserver() = default;

@@ -6,6 +6,7 @@
 #include <cstring>
 #include <limits>
 #include <optional>
+#include <type_traits>
 
 #include "sched/engine_params.hpp"
 #include "snap/ring.hpp"
@@ -13,7 +14,6 @@
 #include "util/check.hpp"
 #include "util/log.hpp"
 #include "util/rss.hpp"
-#include "workload/load.hpp"
 
 namespace es::sched {
 
@@ -31,6 +31,9 @@ Engine::Engine(const EngineConfig& config, Scheduler& policy)
       cycle_stats_attach_(policy),
       fairness_attach_(config.fairshare, config.machine_procs) {
   sim_.set_calendar_band(config.calendar_event_queue);
+  // The engine reads the busy integral only up to the last record it made
+  // (see busy_at_last_finish_), so the tracker retains no step list.
+  utilization_.set_bounded(true);
   ecc_processor_.set_running_resize(config.allow_running_resize);
   // Register the enabled attachments in the canonical chain order (see
   // attach/observer.hpp): CheckpointObserver must precede
@@ -104,21 +107,20 @@ struct Fingerprint {
     std::memcpy(&b, &v, sizeof(b));
     u64(b);
   }
-  void boolean(bool v) { u64(v ? 1 : 0); }
   void str(const std::string& s) {
     u64(s.size());
     bytes(s.data(), s.size());
   }
 };
 
-/// Hash over everything that must agree between the snapshotting run and
-/// the resuming run for divergence-free resume: machine shape, the
-/// behaviour-steering config knobs, the policy, and the full workload.
-/// Watchdog budgets and the snapshot policy itself are deliberately
-/// excluded — the resumed process may run with different guardrails.
-std::uint64_t run_fingerprint(const EngineConfig& config,
-                              const Scheduler& policy,
-                              const workload::Workload& workload) {
+/// Seed of the rolling run fingerprint a restore validates against:
+/// everything that must agree between the snapshotting run and the resuming
+/// run besides the trace itself — machine shape, the behaviour-steering
+/// config knobs and the policy.  Watchdog budgets and the snapshot policy
+/// itself are deliberately excluded — the resumed process may run with
+/// different guardrails.
+std::uint64_t config_fingerprint(const EngineConfig& config,
+                                 const Scheduler& policy) {
   Fingerprint fp;
   // Registry-driven config portion: every fingerprint-participating
   // parameter (see sched/engine_params.cpp — watchdog budgets and snapshot
@@ -139,8 +141,16 @@ std::uint64_t run_fingerprint(const EngineConfig& config,
     fp.i32(outage.procs);
   }
   fp.str(policy.name());
-  fp.u64(workload.jobs.size());
-  for (const workload::Job& job : workload.jobs) {
+  return fp.hash;
+}
+
+/// Rolls one delivered chunk — its jobs, then its commands — into the run
+/// fingerprint.
+std::uint64_t fold_chunk(std::uint64_t hash,
+                         const workload::SourceChunk& chunk) {
+  Fingerprint fp{hash};
+  fp.u64(chunk.jobs.size());
+  for (const workload::Job& job : chunk.jobs) {
     fp.i64(job.id);
     fp.f64(job.arr);
     fp.i32(job.num);
@@ -151,14 +161,21 @@ std::uint64_t run_fingerprint(const EngineConfig& config,
     fp.i32(job.user);
     fp.i32(job.pool);
   }
-  fp.u64(workload.eccs.size());
-  for (const workload::Ecc& ecc : workload.eccs) {
+  fp.u64(chunk.eccs.size());
+  for (const workload::Ecc& ecc : chunk.eccs) {
     fp.f64(ecc.issue);
     fp.i64(ecc.job_id);
     fp.i32(static_cast<std::int32_t>(ecc.type));
     fp.f64(ecc.amount);
   }
   return fp.hash;
+}
+
+[[noreturn]] void snapshot_mismatch() {
+  throw snap::SnapshotError(
+      snap::SnapshotErrorKind::kMismatch,
+      "snapshot belongs to a different run (trace/config/policy "
+      "fingerprint disagrees)");
 }
 
 [[noreturn]] void snapshot_corrupt(const std::string& what) {
@@ -214,15 +231,17 @@ ParanoidSnapshot Engine::paranoid_snapshot() const {
   ParanoidSnapshot snapshot;
   snapshot.now = sim_.now();
   snapshot.cycle = cycles_;
-  for (const JobRun* job : jobs_)
-    snapshot.interruptions +=
-        static_cast<std::uint64_t>(arena_.cold(*job).interruptions);
-  for (const JobRun* job : finished_) {
-    if (job->status == JobStatus::kAbandoned)
-      ++snapshot.abandoned;
-    else
-      ++snapshot.finishes;
+  // Re-derived from the live records plus the sums folded at retire —
+  // never from counters bumped beside the ledgers being checked.
+  snapshot.interruptions = sums_.interruptions;
+  for (const auto& [id, job] : by_id_) {
+    if (job->status == JobStatus::kWaiting ||
+        job->status == JobStatus::kRunning)
+      snapshot.interruptions +=
+          static_cast<std::uint64_t>(arena_.cold(*job).interruptions);
   }
+  snapshot.abandoned = folded_.abandoned;
+  snapshot.finishes = folded_.completed + folded_.killed;
   snapshot.active_jobs = active_.size();
   snapshot.cycles = cycles_;
   snapshot.dp_delta = policy_->dp_counters() - dp_baseline_;
@@ -374,14 +393,12 @@ void Engine::move_dedicated_head_to_batch_head() {
 }
 
 void Engine::on_arrival(JobRun* job) {
-  if (streaming_) {
-    // Refill when the last scheduled arrival fires: every event the next
-    // chunk schedules is then strictly in the future, so the heap order is
-    // identical to the fully-materialized schedule (see source.hpp for the
-    // chunk-boundary contracts that make this safe at equal timestamps).
-    ES_ASSERT(arrivals_pending_ > 0);
-    if (--arrivals_pending_ == 0 && !source_exhausted_) load_next_chunk();
-  }
+  // Refill when the last scheduled arrival fires: every event the next
+  // chunk schedules is then strictly in the future, so the heap order does
+  // not depend on the chunk size (see source.hpp for the chunk-boundary
+  // contracts that make this safe at equal timestamps).
+  ES_ASSERT(arrivals_pending_ > 0);
+  if (--arrivals_pending_ == 0) load_next_chunk();
   ES_ASSERT(job->status == JobStatus::kWaiting);
   if (job->dedicated()) {
     // Keep W^d sorted by (requested start, arrival).
@@ -399,53 +416,42 @@ void Engine::on_arrival(JobRun* job) {
   run_cycle();
 }
 
-void Engine::on_dedicated_due(JobRun* job) {
-  // The job may already have been moved/started; the wake-up is only a
-  // trigger for a scheduling cycle at its requested start instant.
-  (void)job;
+void Engine::on_dedicated_due() {
+  // The job may already have been moved, started or even retired; the
+  // wake-up is only a trigger for a scheduling cycle at its requested start
+  // instant, so the closure carries no job.
   run_cycle();
 }
 
-void Engine::on_ecc(const workload::Ecc& ecc) {
+void Engine::on_ecc() {
+  // ECC events fire in the order they were scheduled (see pending_eccs_).
+  const workload::Ecc ecc = pending_eccs_.front();
+  pending_eccs_.pop_front();
   const auto it = by_id_.find(ecc.job_id);
   if (it == by_id_.end()) {
     attachments_.on_ecc_unknown_job(sim_.now(), ecc);
     return;
   }
   JobRun* job = it->second;
-  if (streaming_ && config_.process_eccs) {
-    JobRunCold& cold = arena_.cold(*job);
-    ES_ASSERT(cold.ecc_pending > 0);
-    --cold.ecc_pending;
-  }
+  JobRunCold& cold = arena_.cold(*job);
+  ES_ASSERT(cold.ecc_pending > 0);
+  --cold.ecc_pending;
   const EccOutcome outcome =
       ecc_processor_.apply(ecc, *job, sim_.now(), machine_.free());
   attachments_.on_ecc_applied(sim_.now(), *job, ecc, outcome);
   switch (outcome) {
-    case EccOutcome::kResizedRunning: {
+    case EccOutcome::kResizedRunning:
       // The processor already scaled the remaining time work-conservingly
-      // and set the new allocation; mirror it in the machine ledger and
-      // move the completion event.
+      // and set the new allocation; mirror it in the machine ledger, then
+      // move the completion event like any running-job change.
       machine_.resize(job->id, job->num);
       ES_ASSERT(machine_.allocated(job->id) == job->alloc);
       utilization_.record(sim_.now(), machine_.used());
-      const bool cancelled = sim_.cancel(job->finish_event);
-      ES_ASSERT(cancelled);
-      attachments_.on_checkpoint_replan(*job);
-      // Both the planned end (rescaled remaining time) and the allocation
-      // changed: re-seat the job in the active order.
-      reposition_active(job);
-      const sim::Time finish =
-          std::max(sim_.now(), job->start_time + job->run_duration());
-      job->finish_event =
-          sim_.at(finish, sim::EventClass::kJobFinish,
-                  [this, job](sim::Time) { on_finish(job); },
-                  static_cast<std::uint64_t>(job->id));
-      break;
-    }
+      [[fallthrough]];
     case EccOutcome::kAppliedRunning: {
-      // Kill-by (and possibly true runtime) moved: reschedule completion
-      // and re-seat the job under its new planned end.
+      // Kill-by (and possibly true runtime or the allocation) moved:
+      // reschedule completion and re-seat the job under its new planned
+      // end.
       const bool cancelled = sim_.cancel(job->finish_event);
       ES_ASSERT(cancelled);
       attachments_.on_checkpoint_replan(*job);
@@ -475,7 +481,7 @@ void Engine::on_ecc(const workload::Ecc& ecc) {
   // A finished job whose last pending command just dispatched can retire
   // now (kCompletedJob released inside finish_job; `job` may dangle here
   // only on paths that did not touch it).
-  if (streaming_ && outcome != EccOutcome::kCompletedJob) maybe_release(job);
+  if (outcome != EccOutcome::kCompletedJob) maybe_release(job);
   run_cycle();
 }
 
@@ -562,16 +568,14 @@ void Engine::preempt_job(JobRun* job, fault::RequeuePolicy requeue_policy) {
       attachments_.on_requeue(sim_.now(), *job, alloc);
       break;
     case fault::RequeuePolicy::kAbandon:
-      // Keeps its alloc/start_time so collect() sees the partial run.
+      // Keeps its alloc/start_time so retire() folds the partial run.
       job->status = JobStatus::kAbandoned;
       cold.end_time = sim_.now();
       last_finish_ = std::max(last_finish_, cold.end_time);
-      if (streaming_)
-        retire_streamed(job);
-      else
-        finished_.push_back(job);
+      busy_at_last_finish_ = utilization_.integral();
+      retire(job);
       attachments_.on_abandon(sim_.now(), *job, alloc);
-      if (streaming_) maybe_release(job);
+      maybe_release(job);
       break;
   }
 }
@@ -642,15 +646,13 @@ void Engine::finish_job(JobRun* job) {
   JobRunCold& cold = arena_.cold(*job);
   cold.end_time = sim_.now();
   last_finish_ = std::max(last_finish_, cold.end_time);
-  if (streaming_)
-    retire_streamed(job);
-  else
-    finished_.push_back(job);
+  retire(job);
   attachments_.on_finish(sim_.now(), *job);
   utilization_.record(sim_.now(), machine_.used());
+  busy_at_last_finish_ = utilization_.integral();
   // Release only after the attachments read the record; `job` dangles past
   // this point once no scheduled command still targets it.
-  if (streaming_) maybe_release(job);
+  maybe_release(job);
 }
 
 void Engine::on_finish(JobRun* job) {
@@ -680,189 +682,156 @@ JobRun* Engine::build_job(const workload::Job& spec) {
   return run;
 }
 
-void Engine::build_jobs(const workload::Workload& workload) {
-  ES_EXPECTS(jobs_.empty());  // one run per engine instance
-  jobs_.reserve(workload.jobs.size());
-  for (const workload::Job& spec : workload.jobs) {
-    JobRun* ptr = build_job(spec);
-    jobs_.push_back(ptr);
-    const auto [pos, inserted] = by_id_.emplace(spec.id, ptr);
-    (void)pos;
-    ES_EXPECTS(inserted);  // duplicate job IDs are a malformed workload
-  }
-  workload_fingerprint_ = run_fingerprint(config_, *policy_, workload);
-}
-
-SimulationResult Engine::finish_run(
-    const workload::Workload& workload,
-    std::chrono::steady_clock::time_point run_start) {
-  if (termination_ == sim::TerminationReason::kCompleted) {
-    // Every job must have completed: the scheduler invariant tests rely on
-    // it.  A watchdog abort leaves the run mid-flight by design, so the
-    // postconditions only hold for completed runs.
-    ES_ENSURES(batch_queue_.empty());
-    ES_ENSURES(dedicated_queue_.empty());
-    ES_ENSURES(active_.empty());
-    ES_ENSURES(finished_.size() == jobs_.size());
-    ES_ENSURES(machine_.offline() == 0);  // every outage was repaired
-  }
-
-  SimulationResult result = collect(workload);
-  result.perf.dp = policy_->dp_counters() - dp_baseline_;
-  result.perf.events = sim_.queue().counters();
-  result.perf.cycle_seconds = cycle_seconds_;
-  result.perf.wall_seconds = seconds_since(run_start);
-  result.perf.peak_rss_bytes = util::peak_rss_bytes();
-  return result;
-}
-
 SimulationResult Engine::run(const workload::Workload& workload) {
-  ES_EXPECTS(!restored_);  // a restored engine continues via resume()
-  const auto run_start = std::chrono::steady_clock::now();
-  dp_baseline_ = policy_->dp_counters();
-  build_jobs(workload);
-  for (JobRun* ptr : jobs_) {
-    sim_.at(ptr->arr, sim::EventClass::kJobArrival,
-            [this, ptr](sim::Time) { on_arrival(ptr); },
-            static_cast<std::uint64_t>(ptr->id));
-    if (ptr->dedicated() && ptr->req_start > ptr->arr) {
-      sim_.at(ptr->req_start, sim::EventClass::kDedicatedDue,
-              [this, ptr](sim::Time) { on_dedicated_due(ptr); },
-              static_cast<std::uint64_t>(ptr->id));
-    }
-  }
-  if (config_.process_eccs) {
-    for (std::size_t i = 0; i < workload.eccs.size(); ++i) {
-      const workload::Ecc& ecc = workload.eccs[i];
-      sim_.at(ecc.issue, sim::EventClass::kEccArrival,
-              [this, ecc](sim::Time) { on_ecc(ecc); },
-              static_cast<std::uint64_t>(i));
-    }
-  }
-  first_arrival_ =
-      workload.jobs.empty() ? 0 : workload.jobs.front().arr;
-  utilization_.record(first_arrival_, 0);
-  if (failure_model_.enabled() && !workload.jobs.empty()) {
-    utilization_.record_capacity(first_arrival_, machine_.available());
-    schedule_next_outage(first_arrival_);
-  }
+  workload::MaterializedSource source(workload);
+  return run_streamed(source);
+}
 
-  warn_if_unbounded_retry(workload);
-  pump_events();
-  return finish_run(workload, run_start);
+void Engine::begin(workload::JobSource& source, bool fingerprint) {
+  ES_EXPECTS(source_ == nullptr);  // one run per engine instance
+  ES_EXPECTS(source.machine_procs() == config_.machine_procs);
+  source_ = &source;
+  fingerprinting_ = fingerprint;
+  if (fingerprinting_) fingerprint_ = config_fingerprint(config_, *policy_);
 }
 
 SimulationResult Engine::run_streamed(workload::JobSource& source) {
-  ES_EXPECTS(!restored_);  // a restored engine continues via resume()
-  ES_EXPECTS(jobs_.empty() && jobs_built_ == 0);  // one run per engine
-  // Snapshots would need the retired-job history; streaming trades that
-  // capability away for bounded memory.  Paranoid mode hashes finished_.
-  ES_EXPECTS(config_.snapshot.every_cycles == 0 && !snapshot_sink_);
-  ES_EXPECTS(!config_.paranoid);
-  ES_EXPECTS(source.machine_procs() == config_.machine_procs);
   const auto run_start = std::chrono::steady_clock::now();
+  begin(source, config_.snapshot.every_cycles > 0);
   dp_baseline_ = policy_->dp_counters();
-  streaming_ = true;
-  source_ = &source;
-  source_exhausted_ = false;
-  utilization_.set_bounded(true);
   load_next_chunk();
-  // Mirrors run(): the utilization baseline lands at the first arrival even
-  // though later chunks are scheduled after it (records are time-ordered
-  // because refills fire at the last scheduled arrival).
+  // The utilization baseline lands at the first arrival even though later
+  // chunks are scheduled after it (records are time-ordered because refills
+  // fire at the last scheduled arrival).
   utilization_.record(first_arrival_, 0);
-  if (failure_model_.enabled() && jobs_built_ > 0) {
+  if (failure_model_.enabled() && jobs_pulled_ > 0) {
     utilization_.record_capacity(first_arrival_, machine_.available());
     schedule_next_outage(first_arrival_);
   }
-  pump_events();
-  if (termination_ == sim::TerminationReason::kCompleted) {
-    ES_ENSURES(batch_queue_.empty());
-    ES_ENSURES(dedicated_queue_.empty());
-    ES_ENSURES(active_.empty());
-    ES_ENSURES(source_exhausted_ && jobs_retired_ == jobs_built_);
-    ES_ENSURES(arena_.live() == 0 && by_id_.empty());
-    ES_ENSURES(machine_.offline() == 0);  // every outage was repaired
-  }
-  SimulationResult result = collect_streamed();
-  result.perf.dp = policy_->dp_counters() - dp_baseline_;
-  result.perf.events = sim_.queue().counters();
-  result.perf.cycle_seconds = cycle_seconds_;
-  result.perf.wall_seconds = seconds_since(run_start);
-  result.perf.peak_rss_bytes = util::peak_rss_bytes();
-  return result;
+  return finish_run(run_start);
 }
 
-bool Engine::load_next_chunk() {
-  ES_ASSERT(streaming_ && source_ != nullptr);
+bool Engine::pull_chunk() {
+  if (source_exhausted_) return false;
   if (!source_->next_chunk(chunk_)) {
     source_exhausted_ = true;
     return false;
   }
-  ES_EXPECTS(!chunk_.jobs.empty());
   ES_EXPECTS(chunk_.ecc_counts.size() == chunk_.jobs.size());
-  for (std::size_t i = 0; i < chunk_.jobs.size(); ++i) {
-    const workload::Job& spec = chunk_.jobs[i];
-    // The refill fires at the last scheduled arrival, so every new event is
-    // at or after now; the source's tie-group contract guarantees strictly
-    // later arrivals, keeping heap order identical to the materialized run.
-    ES_EXPECTS(spec.arr >= sim_.now());
-    if (jobs_built_ == 0) {
-      first_arrival_ = spec.arr;
-      stream_span_origin_ = spec.arr;
-      stream_span_last_ = spec.arr;
-    }
-    // Streaming replay of workload::offered_load(), term for term in job
-    // order.
-    stream_proc_seconds_ +=
+  if (jobs_pulled_ == 0 && !chunk_.jobs.empty()) {
+    first_arrival_ = chunk_.jobs.front().arr;
+    offered_origin_ = first_arrival_;
+    offered_last_ = first_arrival_;
+    warn_if_unbounded_retry(chunk_.jobs);
+  }
+  for (const workload::Job& spec : chunk_.jobs) {
+    // workload::offered_load(), term for term in trace order.
+    offered_proc_seconds_ +=
         static_cast<double>(spec.num) * spec.actual_runtime();
     const sim::Time begin = spec.dedicated() && spec.start >= 0
                                 ? std::max(spec.arr, spec.start)
                                 : spec.arr;
-    stream_span_last_ =
-        std::max(stream_span_last_, begin + spec.actual_runtime());
-    JobRun* ptr = build_job(spec);
-    const auto [pos, inserted] = by_id_.emplace(spec.id, ptr);
-    (void)pos;
-    ES_EXPECTS(inserted);  // duplicate live job IDs: malformed workload
-    if (config_.process_eccs)
-      arena_.cold(*ptr).ecc_pending = chunk_.ecc_counts[i];
-    ++jobs_built_;
-    ++arrivals_pending_;
-    sim_.at(ptr->arr, sim::EventClass::kJobArrival,
-            [this, ptr](sim::Time) { on_arrival(ptr); },
-            static_cast<std::uint64_t>(ptr->id));
-    if (ptr->dedicated() && ptr->req_start > ptr->arr) {
-      sim_.at(ptr->req_start, sim::EventClass::kDedicatedDue,
-              [this, ptr](sim::Time) { on_dedicated_due(ptr); },
-              static_cast<std::uint64_t>(ptr->id));
-    }
+    offered_last_ = std::max(offered_last_, begin + spec.actual_runtime());
   }
-  if (config_.process_eccs) {
-    for (const workload::Ecc& ecc : chunk_.eccs) {
-      // Chunk windows concatenate to the normalize() order, so the running
-      // counter reproduces run()'s index-in-workload event tags.
-      ES_ASSERT(ecc.issue >= sim_.now());
-      sim_.at(ecc.issue, sim::EventClass::kEccArrival,
-              [this, ecc](sim::Time) { on_ecc(ecc); }, eccs_scheduled_++);
-    }
-  }
+  jobs_pulled_ += chunk_.jobs.size();
+  if (fingerprinting_) fingerprint_ = fold_chunk(fingerprint_, chunk_);
   return true;
 }
 
-void Engine::retire_streamed(JobRun* job) {
-  const JobOutcome outcome = outcome_of(job);
-  fold_outcome(outcome, stream_result_, stream_sums_, &stream_wasted_);
-  if (config_.keep_job_outcomes) stream_outcomes_.push_back(outcome);
+bool Engine::load_next_chunk() {
+  // A chunk without jobs (a job-less trace's commands) schedules no
+  // arrival, hence no refill trigger: keep pulling.
+  while (pull_chunk()) {
+    for (std::size_t i = 0; i < chunk_.jobs.size(); ++i) {
+      const workload::Job& spec = chunk_.jobs[i];
+      // The refill fires at the last scheduled arrival, so every new event
+      // is at or after now; the source's tie-group contract guarantees
+      // strictly later arrivals, so the per-class schedule order does not
+      // depend on where the chunks were cut.
+      ES_EXPECTS(spec.arr >= sim_.now());
+      JobRun* ptr = build_job(spec);
+      const auto [pos, inserted] = by_id_.emplace(spec.id, ptr);
+      (void)pos;
+      ES_EXPECTS(inserted);  // duplicate live job IDs: malformed workload
+      if (config_.process_eccs)
+        arena_.cold(*ptr).ecc_pending = chunk_.ecc_counts[i];
+      ++arrivals_pending_;
+      sim_.at(ptr->arr, sim::EventClass::kJobArrival,
+              [this, ptr](sim::Time) { on_arrival(ptr); },
+              static_cast<std::uint64_t>(ptr->id));
+      if (ptr->dedicated() && ptr->req_start > ptr->arr) {
+        sim_.at(ptr->req_start, sim::EventClass::kDedicatedDue,
+                [this](sim::Time) { on_dedicated_due(); },
+                static_cast<std::uint64_t>(ptr->id));
+      }
+    }
+    if (config_.process_eccs) {
+      for (const workload::Ecc& ecc : chunk_.eccs) {
+        // Issue order across chunks is what lets on_ecc() pop payloads
+        // front-first: same-class events at one instant fire in seq order.
+        ES_EXPECTS(ecc.issue >= sim_.now());
+        ES_EXPECTS(pending_eccs_.empty() ||
+                   pending_eccs_.back().issue <= ecc.issue);
+        pending_eccs_.push_back(ecc);
+        sim_.at(ecc.issue, sim::EventClass::kEccArrival,
+                [this](sim::Time) { on_ecc(); },
+                static_cast<std::uint64_t>(ecc.job_id));
+      }
+    }
+    if (arrivals_pending_ > 0) return true;
+  }
+  return false;
+}
+
+void Engine::retire(JobRun* job) {
+  const JobRunCold& cold = arena_.cold(*job);
+  JobOutcome outcome;
+  outcome.id = job->id;
+  outcome.dedicated = job->dedicated();
+  outcome.killed = job->status == JobStatus::kKilled;
+  outcome.abandoned = job->status == JobStatus::kAbandoned;
+  outcome.interruptions = cold.interruptions;
+  outcome.procs = job->alloc;
+  outcome.arrival = job->arr;
+  outcome.started = job->start_time;
+  outcome.finished = cold.end_time;
+  outcome.run = cold.end_time - job->start_time;
+  outcome.wait = job->dedicated()
+                     ? std::max(0.0, job->start_time - job->req_start)
+                     : job->start_time - job->arr;
+  ++sums_.count;
+  sums_.interruptions += static_cast<std::uint64_t>(outcome.interruptions);
+  if (outcome.dedicated) {
+    sums_.dedicated_delay_sum += outcome.wait;
+    if (outcome.wait == 0) ++folded_.dedicated_on_time;
+    ++sums_.dedicated_count;
+  }
+  sums_.wait_sum += outcome.wait;
+  sums_.run_sum += outcome.run;
+  const double run_floor = std::max(outcome.run, 1e-9);
+  sums_.sd_sum += (outcome.wait + outcome.run) / run_floor;
+  sums_.bsd_sum += (outcome.wait + outcome.run) / std::max(outcome.run, 10.0);
+  folded_.max_wait = std::max(folded_.max_wait, outcome.wait);
+  const double work = static_cast<double>(outcome.procs) * outcome.run;
+  if (outcome.abandoned) {
+    ++folded_.abandoned;
+    deferred_wasted_.push_back(work);
+  } else if (outcome.killed) {
+    ++folded_.killed;
+    deferred_wasted_.push_back(work);
+  } else {
+    ++folded_.completed;
+    folded_.failure.goodput_proc_seconds += work;
+  }
+  if (config_.keep_job_outcomes) folded_.jobs.push_back(outcome);
   ++jobs_retired_;
 }
 
 void Engine::maybe_release(JobRun* job) {
-  if (!streaming_) return;
   if (job->status == JobStatus::kWaiting || job->status == JobStatus::kRunning)
     return;
   // Late commands must still find the record so the EccProcessor's
-  // rejected-after-finish audit matches the materialized run.
+  // rejected-after-finish audit sees the finished job.
   if (config_.process_eccs && arena_.cold(*job).ecc_pending > 0) return;
   const std::size_t erased = by_id_.erase(job->id);
   ES_ASSERT(erased == 1);
@@ -870,43 +839,89 @@ void Engine::maybe_release(JobRun* job) {
   arena_.release(job);
 }
 
-SimulationResult Engine::collect_streamed() {
-  SimulationResult result;
-  result.completed = 0;
-  result.killed = 0;
+SimulationResult Engine::finish_run(
+    std::chrono::steady_clock::time_point start) {
+  pump_events();
+  if (termination_ == sim::TerminationReason::kCompleted) {
+    // Every job must have completed: the scheduler invariant tests rely on
+    // it.  A watchdog abort leaves the run mid-flight by design, so the
+    // postconditions only hold for completed runs.
+    ES_ENSURES(batch_queue_.empty());
+    ES_ENSURES(dedicated_queue_.empty());
+    ES_ENSURES(active_.empty());
+    ES_ENSURES(all_jobs_finished());
+    ES_ENSURES(arena_.live() == 0 && by_id_.empty());
+    ES_ENSURES(machine_.offline() == 0);  // every outage was repaired
+  } else {
+    // The jobs the source still holds are unfinished too, and count toward
+    // the offered load.
+    while (pull_chunk()) {
+    }
+    ES_LOG_WARN(
+        "watchdog abort (%s) at t=%.3f after %llu events: %llu/%llu jobs "
+        "finished; reporting partial metrics",
+        sim::to_string(termination_), sim_.now(),
+        static_cast<unsigned long long>(sim_.events_processed()),
+        static_cast<unsigned long long>(jobs_retired_),
+        static_cast<unsigned long long>(jobs_pulled_));
+  }
+  SimulationResult result = collect();
+  result.perf.dp = policy_->dp_counters() - dp_baseline_;
+  result.perf.events = sim_.queue().counters();
+  result.perf.cycle_seconds = cycle_seconds_;
+  result.perf.wall_seconds = seconds_since(start);
+  result.perf.peak_rss_bytes = util::peak_rss_bytes();
+  return result;
+}
+
+SimulationResult Engine::collect() {
+  // The counters folded at retire (and the outcome ledger) seed the result.
+  SimulationResult result = std::move(folded_);
   result.first_arrival = first_arrival_;
   result.last_finish = last_finish_;
   result.makespan = last_finish_ - first_arrival_;
   result.cycles = cycles_;
   result.events = sim_.events_processed();
   result.termination = termination_;
-  result.unfinished = jobs_built_ - jobs_retired_;
-  result.offered_load = streamed_offered_load();
+  result.unfinished = jobs_pulled_ - jobs_retired_;
+  const double span = offered_last_ - offered_origin_;
+  result.offered_load =
+      jobs_pulled_ > 0 && span > 0
+          ? offered_proc_seconds_ / (span * machine_.total())
+          : 0.0;
   result.ecc = ecc_processor_.stats();
+  // Attachments deposit their ledgers (failure stats, checkpoint stats,
+  // the audit trace, cycle histograms, ECC skip counts).  The deferred
+  // wasted-work terms follow, in completion order, because
+  // FailureStatsObserver assigns its share of that ledger.
   attachments_.on_collect(result);
-  // Replay the per-job counters folded at retire time.  The wasted-work
-  // terms were deferred because FailureStatsObserver::on_collect assigns
-  // the failure ledger; adding them here, in completion order, reproduces
-  // the collect() loop's sums bit for bit.
-  result.completed = stream_result_.completed;
-  result.killed = stream_result_.killed;
-  result.abandoned = stream_result_.abandoned;
-  result.dedicated_on_time = stream_result_.dedicated_on_time;
-  result.max_wait = stream_result_.max_wait;
-  for (const double work : stream_wasted_)
+  for (const double work : deferred_wasted_)
     result.failure.wasted_proc_seconds += work;
-  result.failure.goodput_proc_seconds =
-      stream_result_.failure.goodput_proc_seconds;
-  if (config_.keep_job_outcomes) result.jobs = std::move(stream_outcomes_);
-  finalize_aggregate(result, stream_sums_);
-  return result;
-}
 
-double Engine::streamed_offered_load() const {
-  if (jobs_built_ == 0) return 0.0;
-  const double span = stream_span_last_ - stream_span_origin_;
-  if (span <= 0) return 0.0;
-  return stream_proc_seconds_ / (span * machine_.total());
+  const double n = static_cast<double>(sums_.count);
+  if (n > 0) {
+    result.mean_wait = sums_.wait_sum / n;
+    result.mean_run = sums_.run_sum / n;
+    result.mean_per_job_slowdown = sums_.sd_sum / n;
+    result.mean_bounded_slowdown = sums_.bsd_sum / n;
+    // Paper definition: ratio of averages.
+    result.slowdown =
+        result.mean_run > 0
+            ? (result.mean_wait + result.mean_run) / result.mean_run
+            : 0.0;
+  }
+  if (sums_.dedicated_count > 0)
+    result.mean_dedicated_delay =
+        sums_.dedicated_delay_sum / static_cast<double>(sums_.dedicated_count);
+  result.utilization = utilization_.utilization_of(
+      busy_at_last_finish_, first_arrival_, last_finish_);
+  if (failure_model_.enabled() && last_finish_ > first_arrival_) {
+    result.failure.down_proc_seconds =
+        static_cast<double>(machine_.total()) *
+            (last_finish_ - first_arrival_) -
+        utilization_.available_proc_seconds(first_arrival_, last_finish_);
+  }
+  return result;
 }
 
 void Engine::pump_events() {
@@ -934,22 +949,6 @@ void Engine::pump_events() {
     if (snapshotting) maybe_snapshot();
   }
   termination_ = reason;
-  if (termination_ != sim::TerminationReason::kCompleted) {
-    // Streaming runs count jobs built so far (the source may hold more);
-    // materialized runs count the full workload.
-    const std::uint64_t done =
-        streaming_ ? jobs_retired_
-                   : static_cast<std::uint64_t>(finished_.size());
-    const std::uint64_t total =
-        streaming_ ? jobs_built_ : static_cast<std::uint64_t>(jobs_.size());
-    ES_LOG_WARN(
-        "watchdog abort (%s) at t=%.3f after %llu events: %llu/%llu jobs "
-        "finished; reporting partial metrics",
-        sim::to_string(termination_), sim_.now(),
-        static_cast<unsigned long long>(sim_.events_processed()),
-        static_cast<unsigned long long>(done),
-        static_cast<unsigned long long>(total));
-  }
 }
 
 void Engine::maybe_snapshot() {
@@ -958,7 +957,6 @@ void Engine::maybe_snapshot() {
   snap::SnapshotWriter writer;
   snapshot(writer);
   const std::string image = writer.finish();
-  ++snapshots_taken_;
   if (snapshot_sink_) snapshot_sink_(image);
   if (!config_.snapshot.dir.empty()) {
     if (!ring_)
@@ -975,141 +973,217 @@ JobRun* Engine::job_by_id(workload::JobId id) const {
   return it->second;
 }
 
+// --- snapshot field walkers -------------------------------------------------
+//
+// Each record lists its fields once; Save walks the list to serialize and
+// Load walks the same list to restore, so the two directions cannot drift.
+
+namespace {
+
+struct Save {
+  snap::SnapshotWriter& out;
+  void operator()(double v) { out.f64(v); }
+  void operator()(std::uint64_t v) { out.u64(v); }
+  void operator()(std::int64_t v) { out.i64(v); }
+  void operator()(std::int32_t v) { out.i32(v); }
+  void operator()(std::uint8_t v) { out.u8(v); }
+  void operator()(bool v) { out.boolean(v); }
+  template <class E>
+    requires std::is_enum_v<E>
+  void operator()(E v, E = E{}) {
+    out.i32(static_cast<std::int32_t>(v));
+  }
+  /// A vector's length; the elements follow through the caller's walk.
+  template <class T>
+  void size(const std::vector<T>& items, std::uint64_t) {
+    out.u64(items.size());
+  }
+};
+
+struct Load {
+  snap::SnapshotReader& in;
+  void operator()(double& v) { v = in.f64(); }
+  void operator()(std::uint64_t& v) { v = in.u64(); }
+  void operator()(std::int64_t& v) { v = in.i64(); }
+  void operator()(std::int32_t& v) { v = in.i32(); }
+  void operator()(std::uint8_t& v) { v = in.u8(); }
+  void operator()(bool& v) { v = in.boolean(); }
+  /// Enumerators are range-checked against `last`.
+  template <class E>
+    requires std::is_enum_v<E>
+  void operator()(E& v, E last = E{}) {
+    const std::int32_t raw = in.i32();
+    if (raw < 0 || raw > static_cast<std::int32_t>(last))
+      snapshot_corrupt("enumerator out of range");
+    v = static_cast<E>(raw);
+  }
+  template <class T>
+  void size(std::vector<T>& items, std::uint64_t limit) {
+    const std::uint64_t count = in.u64();
+    if (count > limit) snapshot_corrupt("record count out of range");
+    items.resize(static_cast<std::size_t>(count));
+  }
+};
+
+/// `T`, const when saving.
+template <class IO, class T>
+using Field = std::conditional_t<std::is_same_v<IO, Save>, const T, T>;
+
+template <class IO>
+void walk(IO& io, Field<IO, JobOutcome>& o) {
+  io(o.id), io(o.dedicated), io(o.killed), io(o.abandoned);
+  io(o.interruptions), io(o.procs), io(o.arrival), io(o.started);
+  io(o.finished), io(o.wait), io(o.run);
+}
+
+template <class IO>
+void walk(IO& io, Field<IO, JobRun>& job, Field<IO, JobRunCold>& cold) {
+  io(job.id), io(job.arr), io(job.pool), io(job.req_time);
+  io(job.actual_time), io(job.num), io(job.alloc), io(job.req_start);
+  io(job.scount), io(job.forced_priority), io(cold.interruptions);
+  io(cold.ecc_pending), io(job.ckpt_progress), io(job.ckpt_overhead_planned);
+  io(job.status, JobStatus::kAbandoned);
+  io(job.start_time), io(cold.end_time), io(job.frenum);
+}
+
+template <class IO>
+void walk(IO& io, Field<IO, EccProcessor::State>& ecc) {
+  io(ecc.stats.processed), io(ecc.stats.extensions);
+  io(ecc.stats.reductions), io(ecc.stats.rejected);
+  io(ecc.stats.unknown_job), io(ecc.stats.after_finish);
+  io(ecc.stats.running_resizes), io(ecc.stats.conflicts);
+  io(ecc.stats.time_added), io(ecc.stats.time_removed);
+  io(ecc.stats.procs_added), io(ecc.stats.procs_removed);
+  io(ecc.group_job), io(ecc.group_time), io(ecc.group_time_dim);
+  io(ecc.group_proc_dim);
+}
+
+template <class IO>
+void walk(IO& io, Field<IO, fault::FailureModel::State>& failure) {
+  for (auto& word : failure.rng.s) io(word);
+  io(failure.rng.cached_normal), io(failure.rng.has_cached_normal);
+  io(failure.script_index), io(failure.cursor);
+}
+
+template <class IO>
+void walk(IO& io, Field<IO, DpCounters>& dp) {
+  io(dp.calls), io(dp.fast_path), io(dp.table_runs), io(dp.table_cells);
+}
+
+template <class IO>
+void walk(IO& io, Field<IO, sim::EventQueueCounters>& counters) {
+  io(counters.scheduled), io(counters.cancelled), io(counters.fired);
+  io(counters.peak_pending);
+}
+
+}  // namespace
+
+template <class IO, class Self>
+void Engine::walk_fold(IO& io, Self& self) {
+  auto& sums = self.sums_;
+  auto& folded = self.folded_;
+  io(sums.wait_sum), io(sums.run_sum), io(sums.sd_sum), io(sums.bsd_sum);
+  io(sums.dedicated_delay_sum), io(sums.dedicated_count), io(sums.count);
+  io(sums.interruptions), io(folded.completed), io(folded.killed);
+  io(folded.abandoned), io(folded.dedicated_on_time), io(folded.max_wait);
+  io(folded.failure.goodput_proc_seconds);
+  io.size(self.deferred_wasted_, self.jobs_retired_);
+  for (auto& work : self.deferred_wasted_) io(work);
+  io.size(folded.jobs, self.jobs_retired_);
+  for (auto& outcome : folded.jobs) walk(io, outcome);
+}
+
 void Engine::snapshot(snap::SnapshotWriter& writer) const {
   ES_EXPECTS(!in_cycle_);  // only valid at an event boundary
+  ES_EXPECTS(fingerprinting_);
+  Save save{writer};
 
+  // The run fingerprint and the source cursor a restore re-pulls to.
   writer.begin_section("META");
-  writer.u64(workload_fingerprint_);
-  writer.u64(jobs_.size());
+  save(fingerprint_), save(jobs_pulled_), save(jobs_retired_);
+  save(arrivals_pending_), save(source_exhausted_);
   writer.end_section();
 
   // Clock + event-queue allocator/counters.  next_seq must round-trip so
   // post-restore schedule() calls draw the sequence numbers the original
   // run would have drawn — same-instant tie-breaking depends on them.
   writer.begin_section("CLCK");
-  writer.f64(sim_.now());
-  writer.u64(sim_.events_processed());
-  writer.u64(sim_.queue().next_seq());
-  const sim::EventQueueCounters& counters = sim_.queue().counters();
-  writer.u64(counters.scheduled);
-  writer.u64(counters.cancelled);
-  writer.u64(counters.fired);
-  writer.u64(counters.peak_pending);
+  save(sim_.now()), save(sim_.events_processed());
+  save(sim_.queue().next_seq());
+  walk(save, sim_.queue().counters());
   writer.end_section();
 
   // Pending events as (time, class, original seq, semantic tag) — the
-  // callbacks are rebuilt from the tags on restore.
+  // callbacks are rebuilt from the tags on restore.  ECC events carry
+  // their command: seq order is their firing order, which is the order of
+  // the pending payload queue.
   writer.begin_section("EVTS");
   const std::vector<sim::PendingEvent> pending = sim_.queue().pending_events();
-  writer.u64(pending.size());
+  save(pending.size());
+  auto next_ecc = pending_eccs_.begin();
   for (const sim::PendingEvent& event : pending) {
-    writer.f64(event.time);
-    writer.i32(event.cls);
-    writer.u64(event.seq);
-    writer.u64(event.tag);
+    save(event.time), save(event.cls), save(event.seq), save(event.tag);
+    if (static_cast<sim::EventClass>(event.cls) ==
+        sim::EventClass::kEccArrival) {
+      ES_ASSERT(next_ecc != pending_eccs_.end());
+      const workload::Ecc& ecc = *next_ecc++;
+      save(ecc.job_id), save(ecc.type), save(ecc.amount);
+    }
   }
+  ES_ASSERT(next_ecc == pending_eccs_.end());
   writer.end_section();
 
-  // Per-job runtime state, in jobs_ (= workload) order.  Immutable specs
-  // are rebuilt from the workload; container membership is restored from
-  // the ORDR section; finish events from EVTS.
+  // Live job records — waiting, running, and retired ones that commands
+  // still target — with their spec fields, in id order; then the batch
+  // FIFO, the dedicated list and the active array (by planned end).
+  std::vector<const JobRun*> live;
+  live.reserve(by_id_.size());
+  for (const auto& [id, job] : by_id_) live.push_back(job);
+  std::sort(live.begin(), live.end(),
+            [](const JobRun* a, const JobRun* b) { return a->id < b->id; });
   writer.begin_section("JOBS");
-  writer.u64(jobs_.size());
-  for (const JobRun* job : jobs_) {
-    const JobRunCold& cold = arena_.cold(*job);
-    writer.f64(job->req_time);
-    writer.f64(job->actual_time);
-    writer.i32(job->num);
-    writer.i32(job->alloc);
-    writer.f64(job->req_start);
-    writer.i32(job->scount);
-    writer.boolean(job->forced_priority);
-    writer.i32(cold.interruptions);
-    writer.f64(job->ckpt_progress);
-    writer.f64(job->ckpt_overhead_planned);
-    writer.u8(static_cast<std::uint8_t>(job->status));
-    writer.f64(job->start_time);
-    writer.f64(cold.end_time);
-    writer.i32(job->frenum);
-  }
+  save(live.size());
+  for (const JobRun* job : live) walk(save, *job, arena_.cold(*job));
   writer.end_section();
-
-  // Container order: batch FIFO (intrusive links), dedicated list, active
-  // array (sorted by planned end) and the completion order.
   writer.begin_section("ORDR");
-  writer.u64(batch_queue_.size());
-  for (const JobRun* job : batch_queue_) writer.i64(job->id);
-  writer.u64(dedicated_queue_.size());
-  for (const JobRun* job : dedicated_queue_) writer.i64(job->id);
-  writer.u64(active_.size());
-  for (const JobRun* job : active_) writer.i64(job->id);
-  writer.u64(finished_.size());
-  for (const JobRun* job : finished_) writer.i64(job->id);
+  save(batch_queue_.size());
+  for (const JobRun* job : batch_queue_) save(job->id);
+  save(dedicated_queue_.size());
+  for (const JobRun* job : dedicated_queue_) save(job->id);
+  save(active_.size());
+  for (const JobRun* job : active_) save(job->id);
   writer.end_section();
 
   writer.begin_section("MACH");
   const cluster::MachineState machine_state = machine_.save_state();
-  writer.i32(machine_state.free);
-  writer.i32(machine_state.offline);
-  writer.u64(machine_state.allocations.size());
-  for (const auto& [job, procs] : machine_state.allocations) {
-    writer.i64(job);
-    writer.i32(procs);
-  }
+  save(machine_state.free), save(machine_state.offline);
+  save(machine_state.allocations.size());
+  for (const auto& [job, procs] : machine_state.allocations)
+    save(job), save(procs);
   writer.end_section();
 
+  // The bounded tracker: running busy integral (no step list) plus the
+  // capacity timeline, which only outages extend.
   writer.begin_section("UTIL");
   const cluster::UtilizationState util_state = utilization_.save_state();
-  writer.i32(util_state.busy);
-  writer.f64(util_state.first);
-  writer.f64(util_state.last);
-  writer.boolean(util_state.started);
-  writer.f64(util_state.integral);
-  writer.u64(util_state.steps.size());
-  for (const auto& [time, busy] : util_state.steps) {
-    writer.f64(time);
-    writer.i32(busy);
-  }
-  writer.u64(util_state.capacity_steps.size());
-  for (const auto& [time, available] : util_state.capacity_steps) {
-    writer.f64(time);
-    writer.i32(available);
-  }
+  save(util_state.busy), save(util_state.first), save(util_state.last);
+  save(util_state.started), save(util_state.integral);
+  save(busy_at_last_finish_);
+  save(util_state.capacity_steps.size());
+  for (const auto& [time, available] : util_state.capacity_steps)
+    save(time), save(available);
   writer.end_section();
 
   writer.begin_section("ECCP");
-  const EccProcessor::State ecc_state = ecc_processor_.save_state();
-  writer.u64(ecc_state.stats.processed);
-  writer.u64(ecc_state.stats.extensions);
-  writer.u64(ecc_state.stats.reductions);
-  writer.u64(ecc_state.stats.rejected);
-  writer.u64(ecc_state.stats.unknown_job);
-  writer.u64(ecc_state.stats.after_finish);
-  writer.u64(ecc_state.stats.running_resizes);
-  writer.u64(ecc_state.stats.conflicts);
-  writer.f64(ecc_state.stats.time_added);
-  writer.f64(ecc_state.stats.time_removed);
-  writer.f64(ecc_state.stats.procs_added);
-  writer.f64(ecc_state.stats.procs_removed);
-  writer.i64(ecc_state.group_job);
-  writer.f64(ecc_state.group_time);
-  writer.boolean(ecc_state.group_time_dim);
-  writer.boolean(ecc_state.group_proc_dim);
+  walk(save, ecc_processor_.save_state());
   writer.end_section();
 
   // Failure model draw position + the payload of the (at most one) pending
   // outage-chain event.
   writer.begin_section("FAIL");
-  writer.boolean(has_pending_outage_);
-  writer.f64(pending_outage_.down);
-  writer.f64(pending_outage_.up);
-  writer.i32(pending_outage_.procs);
-  const fault::FailureModel::State fail_state = failure_model_.save_state();
-  for (const std::uint64_t word : fail_state.rng.s) writer.u64(word);
-  writer.f64(fail_state.rng.cached_normal);
-  writer.boolean(fail_state.rng.has_cached_normal);
-  writer.u64(fail_state.script_index);
-  writer.f64(fail_state.cursor);
+  save(has_pending_outage_), save(pending_outage_.down);
+  save(pending_outage_.up), save(pending_outage_.procs);
+  walk(save, failure_model_.save_state());
   writer.end_section();
 
   // Engine scalars.  DP counters are policy-cumulative (the policy object
@@ -1117,14 +1191,15 @@ void Engine::snapshot(snap::SnapshotWriter& writer) const {
   // this run; restore re-anchors the baseline below the resuming policy's
   // own counter.
   writer.begin_section("ENGN");
-  writer.u64(cycles_);
-  writer.f64(first_arrival_);
-  writer.f64(last_finish_);
-  const DpCounters dp_delta = policy_->dp_counters() - dp_baseline_;
-  writer.u64(dp_delta.calls);
-  writer.u64(dp_delta.fast_path);
-  writer.u64(dp_delta.table_runs);
-  writer.u64(dp_delta.table_cells);
+  save(cycles_), save(last_finish_);
+  walk(save, policy_->dp_counters() - dp_baseline_);
+  writer.end_section();
+
+  // What retired jobs left behind: the running sums, the result counters,
+  // the deferred wasted-work terms and the per-job outcome ledger (empty
+  // unless keep_job_outcomes).
+  writer.begin_section("FOLD");
+  walk_fold(save, *this);
   writer.end_section();
 
   // Every built-in attachment is a plain member that exists whether or not
@@ -1147,171 +1222,128 @@ void Engine::snapshot(snap::SnapshotWriter& writer) const {
   writer.end_section();
 }
 
-void Engine::restore(const workload::Workload& workload,
-                     snap::SnapshotReader& reader) {
-  ES_EXPECTS(!restored_ && jobs_.empty());  // first call on a fresh engine
+SimulationResult Engine::resume(workload::JobSource& source,
+                                snap::SnapshotReader& reader) {
+  const auto run_start = std::chrono::steady_clock::now();
+  begin(source, true);  // a fresh engine: resume() is its one run
+  Load load{reader};
 
-  build_jobs(workload);
-
+  // Re-pull the source up to the saved cursor: the rolling fingerprint
+  // over what it delivers must match, and so must the cursor itself.
   reader.open_section("META");
-  const std::uint64_t fingerprint = reader.u64();
-  const std::uint64_t job_count = reader.u64();
-  if (fingerprint != workload_fingerprint_)
-    throw snap::SnapshotError(
-        snap::SnapshotErrorKind::kMismatch,
-        "snapshot belongs to a different run (workload/config/policy "
-        "fingerprint disagrees)");
-  if (job_count != jobs_.size())
-    snapshot_corrupt("job count disagrees with the workload");
+  std::uint64_t fingerprint = 0, pulled = 0;
+  bool exhausted = false;
+  load(fingerprint), load(pulled), load(jobs_retired_);
+  load(arrivals_pending_), load(exhausted);
+  if (jobs_retired_ > pulled) snapshot_corrupt("more jobs retired than built");
+  while (jobs_pulled_ < pulled && pull_chunk()) {
+  }
+  if (exhausted) {
+    while (pull_chunk())
+      if (!chunk_.jobs.empty()) snapshot_mismatch();  // the trace is longer
+  }
+  if (jobs_pulled_ != pulled || fingerprint != fingerprint_)
+    snapshot_mismatch();
 
   reader.open_section("JOBS");
-  if (reader.u64() != jobs_.size())
-    snapshot_corrupt("JOBS count disagrees with META");
-  for (JobRun* job : jobs_) {
-    JobRunCold& cold = arena_.cold(*job);
-    job->req_time = reader.f64();
-    job->actual_time = reader.f64();
-    job->num = reader.i32();
-    job->alloc = reader.i32();
-    job->req_start = reader.f64();
-    job->scount = reader.i32();
-    job->forced_priority = reader.boolean();
-    cold.interruptions = reader.i32();
-    job->ckpt_progress = reader.f64();
-    job->ckpt_overhead_planned = reader.f64();
-    const std::uint8_t status = reader.u8();
-    if (status > static_cast<std::uint8_t>(JobStatus::kAbandoned))
-      snapshot_corrupt("job status out of range");
-    job->status = static_cast<JobStatus>(status);
-    job->start_time = reader.f64();
-    cold.end_time = reader.f64();
-    job->frenum = reader.i32();
+  std::uint64_t live_count = 0;
+  load(live_count);
+  if (live_count > pulled) snapshot_corrupt("more live records than jobs");
+  for (std::uint64_t i = 0; i < live_count; ++i) {
+    JobRun* job = arena_.claim();
+    walk(load, *job, arena_.cold(*job));
+    if (!by_id_.emplace(job->id, job).second)
+      snapshot_corrupt("duplicate live job id");
   }
-
   reader.open_section("ORDR");
-  const std::uint64_t batch_count = reader.u64();
-  for (std::uint64_t i = 0; i < batch_count; ++i) {
-    JobRun* job = job_by_id(reader.i64());
+  std::uint64_t count = 0;
+  const auto for_each_id = [&](const auto& place) {
+    load(count);
+    for (std::uint64_t i = 0; i < count; ++i) place(job_by_id(reader.i64()));
+  };
+  for_each_id([this](JobRun* job) {
     if (job->in_batch_queue) snapshot_corrupt("job enqueued twice");
     batch_queue_.push_back(job);
-  }
-  const std::uint64_t dedicated_count = reader.u64();
-  for (std::uint64_t i = 0; i < dedicated_count; ++i)
-    dedicated_queue_.push_back(job_by_id(reader.i64()));
-  const std::uint64_t active_count = reader.u64();
-  for (std::uint64_t i = 0; i < active_count; ++i) {
-    JobRun* job = job_by_id(reader.i64());
+  });
+  for_each_id([this](JobRun* job) { dedicated_queue_.push_back(job); });
+  for_each_id([this](JobRun* job) {
     if (job->active_index >= 0) snapshot_corrupt("job active twice");
     job->active_index = static_cast<std::int32_t>(active_.size());
     active_.push_back(job);
-  }
-  const std::uint64_t finished_count = reader.u64();
-  for (std::uint64_t i = 0; i < finished_count; ++i)
-    finished_.push_back(job_by_id(reader.i64()));
+  });
 
   reader.open_section("MACH");
   cluster::MachineState machine_state;
-  machine_state.free = reader.i32();
-  machine_state.offline = reader.i32();
-  const std::uint64_t allocation_count = reader.u64();
-  machine_state.allocations.reserve(allocation_count);
-  for (std::uint64_t i = 0; i < allocation_count; ++i) {
-    const cluster::JobId job = reader.i64();
-    const int procs = reader.i32();
-    machine_state.allocations.emplace_back(job, procs);
-  }
+  load(machine_state.free), load(machine_state.offline);
+  load.size(machine_state.allocations,
+            static_cast<std::uint64_t>(machine_.total()));
+  for (auto& [job, procs] : machine_state.allocations)
+    load(job), load(procs);
   machine_.restore_state(machine_state);
 
   reader.open_section("UTIL");
   cluster::UtilizationState util_state;
-  util_state.busy = reader.i32();
-  util_state.first = reader.f64();
-  util_state.last = reader.f64();
-  util_state.started = reader.boolean();
-  util_state.integral = reader.f64();
-  const std::uint64_t step_count = reader.u64();
-  util_state.steps.reserve(step_count);
-  for (std::uint64_t i = 0; i < step_count; ++i) {
-    const sim::Time time = reader.f64();
-    util_state.steps.emplace_back(time, reader.i32());
-  }
-  const std::uint64_t capacity_count = reader.u64();
-  util_state.capacity_steps.reserve(capacity_count);
-  for (std::uint64_t i = 0; i < capacity_count; ++i) {
-    const sim::Time time = reader.f64();
-    util_state.capacity_steps.emplace_back(time, reader.i32());
-  }
+  load(util_state.busy), load(util_state.first), load(util_state.last);
+  load(util_state.started), load(util_state.integral);
+  load(busy_at_last_finish_);
+  load.size(util_state.capacity_steps, reader.remaining());
+  for (auto& [time, available] : util_state.capacity_steps)
+    load(time), load(available);
   utilization_.restore_state(util_state);
 
   reader.open_section("ECCP");
   EccProcessor::State ecc_state;
-  ecc_state.stats.processed = reader.u64();
-  ecc_state.stats.extensions = reader.u64();
-  ecc_state.stats.reductions = reader.u64();
-  ecc_state.stats.rejected = reader.u64();
-  ecc_state.stats.unknown_job = reader.u64();
-  ecc_state.stats.after_finish = reader.u64();
-  ecc_state.stats.running_resizes = reader.u64();
-  ecc_state.stats.conflicts = reader.u64();
-  ecc_state.stats.time_added = reader.f64();
-  ecc_state.stats.time_removed = reader.f64();
-  ecc_state.stats.procs_added = reader.f64();
-  ecc_state.stats.procs_removed = reader.f64();
-  ecc_state.group_job = reader.i64();
-  ecc_state.group_time = reader.f64();
-  ecc_state.group_time_dim = reader.boolean();
-  ecc_state.group_proc_dim = reader.boolean();
+  walk(load, ecc_state);
   ecc_processor_.restore_state(ecc_state);
 
   reader.open_section("FAIL");
-  has_pending_outage_ = reader.boolean();
-  pending_outage_.down = reader.f64();
-  pending_outage_.up = reader.f64();
-  pending_outage_.procs = reader.i32();
+  load(has_pending_outage_), load(pending_outage_.down);
+  load(pending_outage_.up), load(pending_outage_.procs);
   fault::FailureModel::State fail_state;
-  for (std::uint64_t& word : fail_state.rng.s) word = reader.u64();
-  fail_state.rng.cached_normal = reader.f64();
-  fail_state.rng.has_cached_normal = reader.boolean();
-  fail_state.script_index = reader.u64();
-  fail_state.cursor = reader.f64();
+  walk(load, fail_state);
   failure_model_.restore_state(fail_state);
 
   reader.open_section("ENGN");
-  cycles_ = reader.u64();
-  first_arrival_ = reader.f64();
-  last_finish_ = reader.f64();
+  load(cycles_), load(last_finish_);
   DpCounters dp_delta;
-  dp_delta.calls = reader.u64();
-  dp_delta.fast_path = reader.u64();
-  dp_delta.table_runs = reader.u64();
-  dp_delta.table_cells = reader.u64();
+  walk(load, dp_delta);
   // Re-anchor mod 2^64: baseline = current − delta, so the final
   // (counters − baseline) report equals delta + whatever the resumed run
   // adds — exactly the uninterrupted run's figure.
   dp_baseline_ = policy_->dp_counters() - dp_delta;
+
+  reader.open_section("FOLD");
+  walk_fold(load, *this);
+  if (sums_.count != jobs_retired_ ||
+      folded_.completed + folded_.killed + folded_.abandoned != jobs_retired_)
+    snapshot_corrupt("folded counts disagree with the cursor");
+  // keep_job_outcomes is behaviour-neutral: a ledger the resumed run does
+  // not keep is dropped, one it keeps must have been saved.
+  if (!config_.keep_job_outcomes)
+    folded_.jobs.clear();
+  else if (folded_.jobs.size() != jobs_retired_)
+    snapshot_mismatch();
 
   // Rebuild the pending event set: each saved (class, tag) pair maps back
   // to the closure the original run had scheduled.  Events are replayed in
   // saved (seq) order; restore_meta afterwards overwrites the counters the
   // replay inflated and re-seats the sequence allocator.
   reader.open_section("CLCK");
-  const sim::Time now = reader.f64();
-  const std::uint64_t processed = reader.u64();
-  const std::uint64_t next_seq = reader.u64();
+  sim::Time now = 0;
+  std::uint64_t processed = 0, next_seq = 0;
   sim::EventQueueCounters counters;
-  counters.scheduled = reader.u64();
-  counters.cancelled = reader.u64();
-  counters.fired = reader.u64();
-  counters.peak_pending = reader.u64();
+  load(now), load(processed), load(next_seq);
+  walk(load, counters);
 
   reader.open_section("EVTS");
-  const std::uint64_t event_count = reader.u64();
+  load(count);
   bool saw_outage_event = false;
-  for (std::uint64_t i = 0; i < event_count; ++i) {
-    const sim::Time time = reader.f64();
-    const std::int32_t cls_raw = reader.i32();
-    const std::uint64_t seq = reader.u64();
-    const std::uint64_t tag = reader.u64();
+  std::uint64_t arrival_events = 0;
+  for (std::uint64_t i = 0; i < count; ++i) {
+    sim::Time time = 0;
+    std::int32_t cls_raw = 0;
+    std::uint64_t seq = 0, tag = 0;
+    load(time), load(cls_raw), load(seq), load(tag);
     if (seq >= next_seq) snapshot_corrupt("event seq beyond allocator");
     const auto cls = static_cast<sim::EventClass>(cls_raw);
     switch (cls) {
@@ -1327,23 +1359,22 @@ void Engine::restore(const workload::Workload& workload,
       }
       case sim::EventClass::kJobArrival: {
         JobRun* job = job_by_id(static_cast<workload::JobId>(tag));
+        ++arrival_events;
         sim_.restore_event(
             time, cls, [this, job](sim::Time) { on_arrival(job); }, tag, seq);
         break;
       }
-      case sim::EventClass::kDedicatedDue: {
-        JobRun* job = job_by_id(static_cast<workload::JobId>(tag));
+      case sim::EventClass::kDedicatedDue:
         sim_.restore_event(
-            time, cls, [this, job](sim::Time) { on_dedicated_due(job); }, tag,
-            seq);
+            time, cls, [this](sim::Time) { on_dedicated_due(); }, tag, seq);
         break;
-      }
       case sim::EventClass::kEccArrival: {
-        if (tag >= workload.eccs.size())
-          snapshot_corrupt("ECC event index out of range");
-        const workload::Ecc ecc = workload.eccs[tag];
+        workload::Ecc& ecc = pending_eccs_.emplace_back();
+        ecc.issue = time;
+        load(ecc.job_id), load(ecc.type, workload::EccType::kReduceProcs);
+        load(ecc.amount);
         sim_.restore_event(
-            time, cls, [this, ecc](sim::Time) { on_ecc(ecc); }, tag, seq);
+            time, cls, [this](sim::Time) { on_ecc(); }, tag, seq);
         break;
       }
       case sim::EventClass::kNodeDown: {
@@ -1371,6 +1402,8 @@ void Engine::restore(const workload::Workload& workload,
   }
   if (has_pending_outage_ && !saw_outage_event)
     snapshot_corrupt("pending outage without its NodeDown event");
+  if (arrival_events != arrivals_pending_)
+    snapshot_corrupt("arrival events disagree with the cursor");
   sim_.restore_clock(now, processed);
   sim_.restore_queue_meta(next_seq, counters);
 
@@ -1387,34 +1420,25 @@ void Engine::restore(const workload::Workload& workload,
   policy_->restore_state(reader);
 
   last_snapshot_cycle_ = cycles_;
-  restored_ = true;
-}
-
-SimulationResult Engine::resume(const workload::Workload& workload,
-                                snap::SnapshotReader& reader) {
-  const auto run_start = std::chrono::steady_clock::now();
-  restore(workload, reader);
-  warn_if_unbounded_retry(workload);
-  pump_events();
-  return finish_run(workload, run_start);
+  return finish_run(run_start);
 }
 
 void Engine::warn_if_unbounded_retry(
-    const workload::Workload& workload) const {
+    const std::vector<workload::Job>& jobs) const {
   // Footgun detector: stochastic failures, capless restart-from-scratch
   // requeue, no checkpointing, and an MTBF below the mean job runtime mean
   // the expected number of attempts per job grows like e^(runtime/MTBF) —
-  // the run may effectively never terminate.  Warn once per process.
+  // the run may effectively never terminate.  Judged on the first chunk,
+  // so it fires before the run starts on every path.  Warn once per
+  // process.
   if (!config_.failure.enabled || !config_.failure.script.empty()) return;
   if (config_.failure.max_interruptions > 0) return;
   if (config_.requeue == fault::RequeuePolicy::kAbandon) return;
   if (config_.checkpoint.enabled) return;
-  if (workload.jobs.empty()) return;
+  if (jobs.empty()) return;
   double runtime_sum = 0;
-  for (const workload::Job& job : workload.jobs)
-    runtime_sum += job.actual_runtime();
-  const double mean_runtime =
-      runtime_sum / static_cast<double>(workload.jobs.size());
+  for (const workload::Job& job : jobs) runtime_sum += job.actual_runtime();
+  const double mean_runtime = runtime_sum / static_cast<double>(jobs.size());
   if (config_.failure.mtbf >= mean_runtime) return;
   static std::atomic<bool> warned{false};
   if (warned.exchange(true)) return;
@@ -1425,122 +1449,6 @@ void Engine::warn_if_unbounded_retry(
       "--fail-retry-cap, checkpointing (--ckpt-interval), or a watchdog "
       "budget (--max-events / --wall-budget).",
       config_.failure.mtbf, mean_runtime);
-}
-
-JobOutcome Engine::outcome_of(const JobRun* job) const {
-  const JobRunCold& cold = arena_.cold(*job);
-  JobOutcome outcome;
-  outcome.id = job->id;
-  outcome.dedicated = job->dedicated();
-  outcome.killed = job->status == JobStatus::kKilled;
-  outcome.abandoned = job->status == JobStatus::kAbandoned;
-  outcome.interruptions = cold.interruptions;
-  outcome.procs = job->alloc;
-  outcome.arrival = job->arr;
-  outcome.started = job->start_time;
-  outcome.finished = cold.end_time;
-  outcome.run = cold.end_time - job->start_time;
-  outcome.wait = job->dedicated()
-                     ? std::max(0.0, job->start_time - job->req_start)
-                     : job->start_time - job->arr;
-  return outcome;
-}
-
-// One finished job's contribution to the aggregate metrics.  Shared by the
-// materializing collect() loop and the streaming retire path, which folds
-// each job the moment it finishes; the floating-point operation order per
-// accumulator is identical either way, so the two modes produce
-// byte-identical metrics for the same completion order.
-void Engine::fold_outcome(const JobOutcome& outcome, SimulationResult& result,
-                          FoldSums& sums, std::vector<double>* defer_wasted) {
-  ++sums.count;
-  if (outcome.dedicated) {
-    sums.dedicated_delay_sum += outcome.wait;
-    if (outcome.wait == 0) ++result.dedicated_on_time;
-    ++sums.dedicated_count;
-  }
-  sums.wait_sum += outcome.wait;
-  sums.run_sum += outcome.run;
-  const double run_floor = std::max(outcome.run, 1e-9);
-  sums.sd_sum += (outcome.wait + outcome.run) / run_floor;
-  sums.bsd_sum += (outcome.wait + outcome.run) / std::max(outcome.run, 10.0);
-  result.max_wait = std::max(result.max_wait, outcome.wait);
-  const double work = static_cast<double>(outcome.procs) * outcome.run;
-  if (outcome.abandoned) {
-    ++result.abandoned;
-    // FailureStatsObserver::on_collect *assigns* the wasted-work ledger, so
-    // the streaming path defers these terms and replays them after the
-    // attachments run — same terms, same order, so byte-identical sums.
-    if (defer_wasted)
-      defer_wasted->push_back(work);
-    else
-      result.failure.wasted_proc_seconds += work;
-  } else if (outcome.killed) {
-    ++result.killed;
-    if (defer_wasted)
-      defer_wasted->push_back(work);
-    else
-      result.failure.wasted_proc_seconds += work;
-  } else {
-    ++result.completed;
-    result.failure.goodput_proc_seconds += work;
-  }
-}
-
-SimulationResult Engine::collect(const workload::Workload& workload) const {
-  SimulationResult result;
-  result.completed = 0;
-  result.killed = 0;
-  result.first_arrival = first_arrival_;
-  result.last_finish = last_finish_;
-  result.makespan = last_finish_ - first_arrival_;
-  result.cycles = cycles_;
-  result.events = sim_.events_processed();
-  result.termination = termination_;
-  result.unfinished =
-      static_cast<std::uint64_t>(jobs_.size() - finished_.size());
-  result.offered_load = workload::offered_load(workload, machine_.total());
-  result.ecc = ecc_processor_.stats();
-  // Attachments deposit their ledgers (failure stats, checkpoint stats,
-  // the audit trace, cycle histograms, ECC skip counts) before the
-  // per-job loop adds the outcome-derived wasted/goodput work.
-  attachments_.on_collect(result);
-
-  FoldSums sums;
-  for (const JobRun* job : finished_) {
-    const JobOutcome outcome = outcome_of(job);
-    fold_outcome(outcome, result, sums);
-    if (config_.keep_job_outcomes) result.jobs.push_back(outcome);
-  }
-  finalize_aggregate(result, sums);
-  return result;
-}
-
-void Engine::finalize_aggregate(SimulationResult& result,
-                                const FoldSums& sums) const {
-  const double n = static_cast<double>(sums.count);
-  if (n > 0) {
-    result.mean_wait = sums.wait_sum / n;
-    result.mean_run = sums.run_sum / n;
-    result.mean_per_job_slowdown = sums.sd_sum / n;
-    result.mean_bounded_slowdown = sums.bsd_sum / n;
-    // Paper definition: ratio of averages.
-    result.slowdown =
-        result.mean_run > 0
-            ? (result.mean_wait + result.mean_run) / result.mean_run
-            : 0.0;
-  }
-  if (sums.dedicated_count > 0)
-    result.mean_dedicated_delay =
-        sums.dedicated_delay_sum / static_cast<double>(sums.dedicated_count);
-  result.utilization =
-      utilization_.mean_utilization(first_arrival_, last_finish_);
-  if (failure_model_.enabled() && last_finish_ > first_arrival_) {
-    result.failure.down_proc_seconds =
-        static_cast<double>(machine_.total()) *
-            (last_finish_ - first_arrival_) -
-        utilization_.available_proc_seconds(first_arrival_, last_finish_);
-  }
 }
 
 SimulationResult simulate(const EngineConfig& config, Scheduler& policy,

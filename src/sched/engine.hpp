@@ -2,7 +2,9 @@
 // over the discrete-event kernel.
 //
 // Event flow (one run):
-//   * every submission schedules a JobArrival at its arrival time;
+//   * the JobSource is pulled chunk by chunk, the next chunk when the last
+//     scheduled arrival fires; every submission schedules a JobArrival at
+//     its arrival time;
 //   * every dedicated job additionally schedules a DedicatedDue wake-up at
 //     its requested start time;
 //   * (-E variants) every ECC schedules an EccArrival at its issue time —
@@ -26,6 +28,7 @@
 #pragma once
 
 #include <chrono>
+#include <deque>
 #include <functional>
 #include <memory>
 #include <string>
@@ -74,43 +77,37 @@ class Engine {
     attachments_.add(observer, mask);
   }
 
-  /// Runs the whole workload to completion and returns the metrics.
+  /// Runs the whole workload to completion and returns the metrics: drains
+  /// a MaterializedSource over `workload` through run_streamed().
   SimulationResult run(const workload::Workload& workload);
 
-  /// Streaming variant: drains a JobSource chunk by chunk instead of a
-  /// materialized workload, holding only the jobs in flight.  Arrivals of
-  /// the next chunk are scheduled when the last scheduled arrival fires;
-  /// finished jobs are folded into the metrics immediately and their arena
-  /// records retired once their last command has dispatched.  For the same
-  /// trace the result is byte-identical to run() (see workload/source.hpp
-  /// for the ordering contracts that guarantee it), with two exceptions on
-  /// watchdog-aborted runs only: `unfinished` counts built-not-finished
-  /// jobs (not-yet-generated ones are unknown) and `utilization` integrates
-  /// through the last record.  Snapshots, paranoid mode and restore are
-  /// incompatible with retired job state and are rejected.
+  /// The run path.  Drains a JobSource chunk by chunk, holding only the
+  /// jobs in flight: the next chunk is built and scheduled when the last
+  /// scheduled arrival fires, finished jobs are folded into the metrics
+  /// when they retire, and their arena records are released once their
+  /// last command has dispatched (see workload/source.hpp for the ordering
+  /// contracts that keep the schedule independent of the chunk size).  A
+  /// watchdog-aborted run drains the rest of the source, so `unfinished`
+  /// and `offered_load` cover the whole trace.
   SimulationResult run_streamed(workload::JobSource& source);
 
   // --- crash-consistent snapshot/restore ----------------------------------
 
-  /// Serializes the engine's complete mid-run state into `writer`: clock,
-  /// pending events (with their original sequence numbers), per-job runtime
-  /// state, queue/active/finished order, machine and utilization ledgers,
-  /// ECC-processor cursor and conflict shield, failure-model RNG stream,
-  /// every enabled attachment ledger, and policy cross-cycle state.  Only
-  /// valid between events (never from inside a scheduler cycle).
+  /// Serializes the engine's live mid-run state into `writer` (layout in
+  /// docs/architecture.md): source cursor and rolling run fingerprint,
+  /// pending events with ECC payloads, live job records, queues, ledgers,
+  /// the sums folded from retired jobs, attachment and policy state.  Only
+  /// valid between events, on a run that snapshots (snapshot.every_cycles >
+  /// 0) or was restored — the runs that keep the fingerprint.
   void snapshot(snap::SnapshotWriter& writer) const;
 
-  /// Restores a snapshot taken by an engine running `workload` with an
-  /// equivalent configuration.  Must be the first call on a fresh engine.
-  /// Throws snap::SnapshotError: kMismatch when the snapshot belongs to a
-  /// different (workload, machine, policy, fault-config) combination,
-  /// kCorrupt when the content is structurally damaged.
-  void restore(const workload::Workload& workload,
-               snap::SnapshotReader& reader);
-
-  /// restore() + event pump + collect: continues the interrupted run to
-  /// completion and returns metrics identical to the uninterrupted run.
-  SimulationResult resume(const workload::Workload& workload,
+  /// Continues a snapshotted run on a fresh engine: re-pulls `source` (a
+  /// fresh source over the same trace) up to the saved cursor, checks the
+  /// rolling fingerprint over what it delivered, restores the live state
+  /// and runs to completion — metrics identical to the uninterrupted run.
+  /// Throws snap::SnapshotError: kMismatch for a different (trace, machine,
+  /// policy, fault-config) combination, kCorrupt for damaged content.
+  SimulationResult resume(workload::JobSource& source,
                           snap::SnapshotReader& reader);
 
   /// Receives every periodic snapshot image (in addition to the disk ring,
@@ -121,16 +118,13 @@ class Engine {
     snapshot_sink_ = std::move(sink);
   }
 
-  /// Periodic snapshots taken so far (tests/diagnostics).
-  std::uint64_t snapshots_taken() const { return snapshots_taken_; }
-
   /// The machine, exposed for tests that inspect the final state.
   const cluster::Machine& machine() const { return machine_; }
 
  private:
   void on_arrival(JobRun* job);
-  void on_dedicated_due(JobRun* job);
-  void on_ecc(const workload::Ecc& ecc);
+  void on_dedicated_due();
+  void on_ecc();
   void on_finish(JobRun* job);
   void on_node_down(const fault::Outage& outage);
   void on_node_up(int procs);
@@ -148,7 +142,7 @@ class Engine {
   void remove_active(JobRun* job);
   void reposition_active(JobRun* job);
   void move_dedicated_head_to_batch_head();
-  void warn_if_unbounded_retry(const workload::Workload& workload) const;
+  void warn_if_unbounded_retry(const std::vector<workload::Job>& jobs) const;
   void run_cycle();
   void pump_events();
   void maybe_snapshot();
@@ -156,56 +150,34 @@ class Engine {
   CycleInfo cycle_info() const;
   ParanoidSnapshot paranoid_snapshot() const;
   bool all_jobs_finished() const {
-    return streaming_ ? source_exhausted_ && jobs_retired_ == jobs_built_
-                      : finished_.size() == jobs_.size();
+    return source_exhausted_ && jobs_retired_ == jobs_pulled_;
   }
-  SimulationResult collect(const workload::Workload& workload) const;
 
-  /// Running sums behind the mean metrics; see fold_outcome().
-  struct FoldSums {
-    double wait_sum = 0;
-    double run_sum = 0;
-    double sd_sum = 0;
-    double bsd_sum = 0;
-    double dedicated_delay_sum = 0;
-    std::uint64_t dedicated_count = 0;
-    std::uint64_t count = 0;
-  };
-  JobOutcome outcome_of(const JobRun* job) const;
-  static void fold_outcome(const JobOutcome& outcome, SimulationResult& result,
-                           FoldSums& sums,
-                           std::vector<double>* defer_wasted = nullptr);
-  /// The shared collect() epilogue: means from the fold sums, utilization,
-  /// downtime.  Identical arithmetic for both run modes.
-  void finalize_aggregate(SimulationResult& result,
-                          const FoldSums& sums) const;
-  JobRun* build_job(const workload::Job& spec);
-
-  // --- streaming-mode internals (see run_streamed) -------------------------
-
-  /// Pulls and schedules the next chunk; returns false at end of stream.
+  /// Attaches the source and, on runs that snapshot or restore, seeds the
+  /// rolling fingerprint with the config and policy.
+  void begin(workload::JobSource& source, bool fingerprint);
+  /// Pulls the next chunk into chunk_ and advances the source cursor: job
+  /// count, first arrival, offered-load accumulators, rolling fingerprint
+  /// and, on the first chunk, the retry footgun check.  Builds nothing.
+  bool pull_chunk();
+  /// Pulls, builds and schedules chunks until one schedules an arrival (the
+  /// refill trigger); returns false at end of stream.
   bool load_next_chunk();
-  /// Folds a finished job into the streaming accumulators (same op order as
-  /// the collect() loop) — does not release the record.
-  void retire_streamed(JobRun* job);
+  JobRun* build_job(const workload::Job& spec);
+  /// Folds a finished job into the running sums (completion order) — does
+  /// not release the record.
+  void retire(JobRun* job);
   /// Releases a finished job's record once no scheduled command still
-  /// targets it.  No-op outside streaming mode or while commands pend.
+  /// targets it.  No-op while the job waits, runs or has commands pending.
   void maybe_release(JobRun* job);
-  SimulationResult collect_streamed();
-  /// Streaming replay of workload::offered_load(): same accumulator order
-  /// over jobs in build (= workload) order.
-  double streamed_offered_load() const;
-
-  /// Creates the JobRun shells and the id index from the workload (shared
-  /// by run() and restore(); schedules no events) and computes the
-  /// workload/config fingerprint restore validates against.
-  void build_jobs(const workload::Workload& workload);
-  /// Post-pump bookkeeping shared by run() and resume(): completed-run
-  /// postconditions, metric collection, perf counters.
-  SimulationResult finish_run(
-      const workload::Workload& workload,
-      std::chrono::steady_clock::time_point run_start);
+  /// Pump + completed-run postconditions (or the abort drain) + collect +
+  /// perf counters: the tail shared by run_streamed() and resume().
+  SimulationResult finish_run(std::chrono::steady_clock::time_point start);
+  SimulationResult collect();
   JobRun* job_by_id(workload::JobId id) const;
+  /// The FOLD snapshot section's field list (Self: [const] Engine).
+  template <class IO, class Self>
+  static void walk_fold(IO& io, Self& self);
 
   EngineConfig config_;
   Scheduler* policy_;
@@ -229,15 +201,13 @@ class Engine {
   FairnessObserver fairness_attach_;
   AttachmentChain attachments_;
 
-  JobRunArena arena_;          ///< owns every JobRun (and its cold fields)
-  std::vector<JobRun*> jobs_;  ///< arena records in workload order
-  std::unordered_map<workload::JobId, JobRun*> by_id_;
+  JobRunArena arena_;  ///< owns every live JobRun (and its cold fields)
+  std::unordered_map<workload::JobId, JobRun*> by_id_;  ///< live records
   JobQueue batch_queue_;                  ///< intrusive FIFO (W^b)
   std::vector<JobRun*> dedicated_queue_;  ///< sorted by (req_start, arr)
   std::vector<JobRun*> active_;  ///< running jobs, kept sorted by
                                  ///< (planned end, id); JobRun::active_index
                                  ///< back-references positions
-  std::vector<JobRun*> finished_;
 
   // Cache keys handed to policies through SchedulerContext: the epoch is
   // process-unique per engine, the version bumps on every active-set
@@ -249,6 +219,9 @@ class Engine {
   std::uint64_t cycles_ = 0;
   sim::Time first_arrival_ = 0;
   sim::Time last_finish_ = 0;
+  /// Busy proc-seconds integrated up to last_finish_: the utilization
+  /// numerator, exact for aborted runs whose tracker ran past it.
+  double busy_at_last_finish_ = 0;
 
   // Perf observability: DP counters are policy-cumulative, so run() keeps a
   // start snapshot and reports the delta; cycle wall time accumulates
@@ -258,39 +231,56 @@ class Engine {
 
   sim::TerminationReason termination_ = sim::TerminationReason::kCompleted;
 
-  // Streaming-mode state.  jobs_/finished_ stay empty in this mode; the
-  // fold accumulators replace the collect()-time loop and `stream_result_`
-  // carries the counter fields fold_outcome() increments.  Wasted-work
-  // terms are deferred (FailureStatsObserver::on_collect *assigns* the
-  // failure ledger, so per-job wasted work must be replayed after it).
-  bool streaming_ = false;
+  // The source cursor.  Every delivered job counts into jobs_pulled_ and
+  // the offered-load accumulators (a replay of workload::offered_load(),
+  // term for term in trace order).
   workload::JobSource* source_ = nullptr;
-  bool source_exhausted_ = true;
-  workload::SourceChunk chunk_;           ///< reused pull buffer
-  std::size_t arrivals_pending_ = 0;      ///< scheduled, not yet fired
-  std::uint64_t jobs_built_ = 0;
+  bool source_exhausted_ = false;
+  workload::SourceChunk chunk_;       ///< reused pull buffer
+  std::size_t arrivals_pending_ = 0;  ///< scheduled, not yet fired
+  std::uint64_t jobs_pulled_ = 0;
   std::uint64_t jobs_retired_ = 0;
-  std::uint64_t eccs_scheduled_ = 0;      ///< event tags, as run() numbers them
-  FoldSums stream_sums_;
-  SimulationResult stream_result_;
-  std::vector<double> stream_wasted_;
-  std::vector<JobOutcome> stream_outcomes_;  ///< only if keep_job_outcomes
-  double stream_proc_seconds_ = 0;        ///< offered-load accumulators
-  sim::Time stream_span_origin_ = 0;
-  sim::Time stream_span_last_ = 0;
+  double offered_proc_seconds_ = 0;
+  sim::Time offered_origin_ = 0;
+  sim::Time offered_last_ = 0;
+
+  /// Payloads of the scheduled, not yet fired ECC events, in firing order:
+  /// sources deliver commands sorted by issue time, so ECC events fire in
+  /// the order they were scheduled and the closures carry no payload.
+  std::deque<workload::Ecc> pending_eccs_;
+
+  // Running sums folded from retired jobs.  `folded_` carries the counter
+  // fields (completed, killed, abandoned, goodput, max wait) and, when
+  // keep_job_outcomes is set, the per-job outcome ledger.  Wasted-work
+  // terms are deferred: FailureStatsObserver::on_collect *assigns* the
+  // failure ledger, so per-job wasted work is replayed after it.
+  struct FoldSums {
+    double wait_sum = 0;
+    double run_sum = 0;
+    double sd_sum = 0;
+    double bsd_sum = 0;
+    double dedicated_delay_sum = 0;
+    std::uint64_t dedicated_count = 0;
+    std::uint64_t count = 0;
+    std::uint64_t interruptions = 0;  ///< of retired jobs (paranoid checks)
+  };
+  FoldSums sums_;
+  SimulationResult folded_;
+  std::vector<double> deferred_wasted_;
 
   // Snapshot/restore machinery.  `pending_outage_` mirrors the payload of
   // the (at most one) scheduled NodeDown event — callbacks cannot
   // serialize, so the outage travels through the snapshot and the restore
-  // path rebuilds the closure from it.
-  std::uint64_t workload_fingerprint_ = 0;
+  // path rebuilds the closure from it.  The fingerprint rolls over the
+  // config, the policy and every job and command the source delivered; it
+  // is kept only by runs that snapshot or restore.
+  bool fingerprinting_ = false;
+  std::uint64_t fingerprint_ = 0;
   bool has_pending_outage_ = false;
   fault::Outage pending_outage_{};
-  bool restored_ = false;
   SnapshotSink snapshot_sink_;
   std::unique_ptr<snap::SnapshotRing> ring_;
   std::uint64_t last_snapshot_cycle_ = 0;
-  std::uint64_t snapshots_taken_ = 0;
 };
 
 /// Convenience wrapper: one-shot run.

@@ -81,8 +81,8 @@ struct EngineConfig {
   /// Allow EP/RP to resize *running* jobs work-conservingly (the paper's
   /// section-VI resource-elasticity extension).  Requires process_eccs.
   bool allow_running_resize = false;
-  /// Record the busy-processor timeline (needed by utilization metrics and
-  /// capacity-invariant tests; cheap, on by default).
+  /// Keep the per-job JobOutcome ledger in SimulationResult::jobs.  O(jobs)
+  /// memory: million-job runs that need only the aggregates turn it off.
   bool keep_job_outcomes = true;
   /// Order pending events through the two-tier calendar band (PR 9) instead
   /// of the plain binary heap.  Both structures realize the same strict

@@ -144,10 +144,10 @@ struct JobRunCold {
                           ///< requeued job restarts from scratch, so its
                           ///< place in the FIFO order is policy-defined
 
-  /// Streaming runs only: commands scheduled for this job that have not yet
-  /// dispatched.  A finished job's record is retired the moment this hits
-  /// zero, so late commands still find it (the EccProcessor's
-  /// rejected-after-finish audit stays identical to the materialized run)
+  /// Commands the source will deliver for this job that have not yet
+  /// dispatched (ECC-processing runs).  A finished job's record is retired
+  /// the moment this hits zero, so late commands still find it (the
+  /// EccProcessor's rejected-after-finish audit sees the finished job)
   /// while the arena's live set stays bounded by the jobs in flight.
   std::int32_t ecc_pending = 0;
 };

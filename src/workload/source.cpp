@@ -27,39 +27,64 @@ JobSource::~JobSource() = default;
 
 MaterializedSource::MaterializedSource(const Workload& workload,
                                        std::size_t chunk_jobs)
-    : workload_(&workload), chunk_jobs_(std::max<std::size_t>(1, chunk_jobs)) {
-  // Validate the ordering contracts once up front (see source.hpp): jobs
-  // normalized, ECCs normalized, every command targeting a known job no
-  // earlier than its arrival.
+    : workload_(&workload),
+      eccs_(&workload.eccs),
+      chunk_jobs_(std::max<std::size_t>(1, chunk_jobs)) {
+  const std::vector<Job>& jobs = workload.jobs;
   std::unordered_map<JobId, std::size_t> position;
-  position.reserve(workload.jobs.size());
-  for (std::size_t i = 0; i < workload.jobs.size(); ++i) {
-    const Job& job = workload.jobs[i];
-    if (i > 0) {
-      const Job& prev = workload.jobs[i - 1];
-      ES_EXPECTS(prev.arr < job.arr ||
-                 (prev.arr == job.arr && prev.id < job.id));
-    }
-    position.emplace(job.id, i);
+  position.reserve(jobs.size());
+  bool arrival_sorted = true;
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    if (i > 0 && jobs[i].arr < jobs[i - 1].arr) arrival_sorted = false;
+    const bool inserted = position.emplace(jobs[i].id, i).second;
+    ES_EXPECTS(inserted);  // duplicate job IDs are a malformed workload
   }
-  ecc_totals_.assign(workload.jobs.size(), 0);
-  for (std::size_t i = 0; i < workload.eccs.size(); ++i) {
-    const Ecc& ecc = workload.eccs[i];
-    if (i > 0) ES_EXPECTS(!ecc_before(ecc, workload.eccs[i - 1]));
+  // An unsorted job list has no arrival windows to cut: one chunk carries
+  // the whole workload, in its own order.
+  if (!arrival_sorted) chunk_jobs_ = std::max<std::size_t>(1, jobs.size());
+  // Commands fire in (issue, workload order).  normalize()d workloads are
+  // already in it; anything else is delivered from a stably sorted copy.
+  const auto issue_before = [](const Ecc& a, const Ecc& b) {
+    return a.issue < b.issue;
+  };
+  if (!std::is_sorted(workload.eccs.begin(), workload.eccs.end(),
+                      issue_before)) {
+    sorted_eccs_ = workload.eccs;
+    std::stable_sort(sorted_eccs_.begin(), sorted_eccs_.end(), issue_before);
+    eccs_ = &sorted_eccs_;
+  }
+  ecc_totals_.assign(jobs.size(), 0);
+  ecc_targets_.reserve(eccs_->size());
+  for (const Ecc& ecc : *eccs_) {
     const auto it = position.find(ecc.job_id);
-    ES_EXPECTS(it != position.end());
-    ES_EXPECTS(ecc.issue >= workload.jobs[it->second].arr);
-    ++ecc_totals_[it->second];
+    ecc_targets_.push_back(it == position.end() ? kUnknownJob : it->second);
+    if (it != position.end()) ++ecc_totals_[it->second];
   }
 }
 
 bool MaterializedSource::next_chunk(SourceChunk& chunk) {
   chunk.clear();
   const std::vector<Job>& jobs = workload_->jobs;
-  if (job_cursor_ >= jobs.size()) return false;
+  const std::vector<Ecc>& eccs = *eccs_;
+  if (job_cursor_ >= jobs.size() && ecc_cursor_ >= eccs.size()) return false;
   std::size_t end = std::min(jobs.size(), job_cursor_ + chunk_jobs_);
-  // Never split an equal-arrival tie group across a chunk boundary.
-  while (end < jobs.size() && jobs[end].arr == jobs[end - 1].arr) ++end;
+  std::size_t scanned = ecc_cursor_;
+  while (end < jobs.size()) {
+    // Never split an equal-arrival tie group across a chunk boundary.
+    while (end < jobs.size() && jobs[end].arr == jobs[end - 1].arr) ++end;
+    if (end == jobs.size()) break;
+    // A command in this chunk's window may precede its job's arrival:
+    // extend the chunk so the target is built no later than the command
+    // is scheduled, then re-check the wider window.
+    std::size_t needed = end;
+    while (scanned < eccs.size() && eccs[scanned].issue < jobs[end].arr) {
+      if (ecc_targets_[scanned] != kUnknownJob)
+        needed = std::max(needed, ecc_targets_[scanned] + 1);
+      ++scanned;
+    }
+    if (needed == end) break;
+    end = needed;
+  }
   chunk.jobs.assign(jobs.begin() + static_cast<std::ptrdiff_t>(job_cursor_),
                     jobs.begin() + static_cast<std::ptrdiff_t>(end));
   chunk.ecc_counts.assign(
@@ -68,7 +93,6 @@ bool MaterializedSource::next_chunk(SourceChunk& chunk) {
   job_cursor_ = end;
   const bool bounded = job_cursor_ < jobs.size();
   const double window_end = bounded ? jobs[job_cursor_].arr : 0;
-  const std::vector<Ecc>& eccs = workload_->eccs;
   while (ecc_cursor_ < eccs.size() &&
          (!bounded || eccs[ecc_cursor_].issue < window_end)) {
     chunk.eccs.push_back(eccs[ecc_cursor_]);

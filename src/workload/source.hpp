@@ -17,9 +17,11 @@
 //      sorted by (issue, job id) with generation/file order preserved for
 //      ties — windows never split an equal-issue group, so the chunkwise
 //      concatenation equals Workload::normalize()'s global stable order.
-//      Every ECC must satisfy issue >= its job's arrival (true for the
-//      generator by construction); this guarantees the target job is built
-//      before the command fires.
+//      A command's target job must be delivered no later than the chunk
+//      that carries the command (the generator guarantees it with
+//      issue >= arrival; MaterializedSource extends a chunk to its
+//      commands' targets), so the target is built before the command fires.
+//      Commands for ids the stream never delivers count as unknown-job.
 //   3. ecc_counts[i] is the TOTAL number of commands the stream will ever
 //      deliver for jobs[i], known at build time, so the engine can retire a
 //      finished job's record the moment its last command has dispatched.
@@ -27,6 +29,8 @@
 // CWF files allow commands to reference jobs arbitrarily far back with no
 // per-job totals until EOF, so CWF streams through MaterializedSource
 // (bounded engine state; the parsed workload itself stays resident).
+// Engine::run(workload) is exactly that: a MaterializedSource drained
+// through Engine::run_streamed().
 #pragma once
 
 #include <cstddef>
@@ -67,20 +71,24 @@ class JobSource {
 
   /// Fills `chunk` with the next slice (clearing it first) and returns
   /// true; returns false once the stream is exhausted.  A true return
-  /// implies a non-empty `jobs`.
+  /// implies a non-empty `jobs` (or, for a trace without jobs, non-empty
+  /// `eccs`).
   virtual bool next_chunk(SourceChunk& chunk) = 0;
 };
 
-/// Streams an already-materialized (normalized) workload.  Useful for the
-/// streamed-vs-materialized parity gates, and for CWF traces whose backward
-/// ECC references defeat true streaming: the engine-side structures stay
-/// bounded even though the workload vector is resident.
+/// Streams an already-materialized workload: Engine::run()'s source, and
+/// the one for CWF traces whose backward ECC references defeat true
+/// streaming (the engine-side structures stay bounded even though the
+/// workload vector is resident).  Accepts everything Engine::run() ever
+/// did: commands for unknown jobs, commands issued before their job's
+/// arrival (the chunk is extended to the target), and workloads that were
+/// never normalize()d (unsorted arrivals travel as one chunk; commands are
+/// delivered stably sorted by issue, their firing order).
 class MaterializedSource : public JobSource {
  public:
   static constexpr std::size_t kDefaultChunkJobs = 4096;
 
-  /// The workload must outlive the source and be normalize()d; every ECC
-  /// must reference an existing job and satisfy issue >= the job's arrival.
+  /// The workload must outlive the source; job IDs must be unique.
   explicit MaterializedSource(const Workload& workload,
                               std::size_t chunk_jobs = kDefaultChunkJobs);
 
@@ -89,11 +97,16 @@ class MaterializedSource : public JobSource {
   bool next_chunk(SourceChunk& chunk) override;
 
  private:
+  static constexpr std::size_t kUnknownJob = static_cast<std::size_t>(-1);
+
   const Workload* workload_;
+  const std::vector<Ecc>* eccs_;  ///< workload_->eccs or sorted_eccs_
+  std::vector<Ecc> sorted_eccs_;  ///< only when the workload's are unsorted
   std::size_t chunk_jobs_;
   std::size_t job_cursor_ = 0;
   std::size_t ecc_cursor_ = 0;
   std::vector<int> ecc_totals_;  ///< per job index in workload order
+  std::vector<std::size_t> ecc_targets_;  ///< per command: job index
 };
 
 /// Streams the synthetic Lublin/CWF generator without materializing the

@@ -9,6 +9,7 @@
 // ledger restored into an engine that cannot hold it.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -18,6 +19,7 @@
 #include "snap/snapshot.hpp"
 #include "testing/helpers.hpp"
 #include "workload/generator.hpp"
+#include "workload/source.hpp"
 
 namespace es {
 namespace {
@@ -26,93 +28,87 @@ using es::testing::batch_job;
 using es::testing::dedicated_job;
 using es::testing::make_workload;
 
+/// One fresh run under the given options, with an engine hook.
+using RunFn = std::function<sched::SimulationResult(
+    const core::AlgorithmOptions&, const std::function<void(sched::Engine&)>&)>;
+/// The same run resumed from a snapshot.
+using ResumeFn = std::function<sched::SimulationResult(snap::SnapshotReader&)>;
+
+RunFn workload_run(const workload::Workload& workload,
+                   const std::string& algorithm) {
+  return [&workload, algorithm](const core::AlgorithmOptions& options,
+                                const auto& prepare) {
+    return exp::run_workload_prepared(workload, algorithm, options, prepare);
+  };
+}
+
 /// Runs the simulation with snapshot-every-cycle capture and an event
 /// budget of `kill_events`, returning the last snapshot image taken before
 /// the watchdog killed the run (empty when the kill landed before the
 /// first snapshot).
-std::string snapshot_before_kill(const workload::Workload& workload,
-                                 const std::string& algorithm,
+std::string snapshot_before_kill(const RunFn& run,
                                  const core::AlgorithmOptions& options,
                                  std::uint64_t kill_events) {
   core::AlgorithmOptions killed = options;
   killed.engine.snapshot.every_cycles = 1;
   killed.engine.watchdog.max_events = kill_events;
   std::string image;
-  (void)exp::run_workload_prepared(
-      workload, algorithm, killed, [&image](sched::Engine& engine) {
-        engine.set_snapshot_sink(
-            [&image](const std::string& bytes) { image = bytes; });
-      });
+  (void)run(killed, [&image](sched::Engine& engine) {
+    engine.set_snapshot_sink(
+        [&image](const std::string& bytes) { image = bytes; });
+  });
   return image;
 }
 
-/// Field-by-field equality of every deterministic result quantity; doubles
-/// are compared exactly because a resumed run must replay the identical
-/// floating-point operation sequence.
+std::string snapshot_before_kill(const workload::Workload& workload,
+                                 const std::string& algorithm,
+                                 const core::AlgorithmOptions& options,
+                                 std::uint64_t kill_events) {
+  return snapshot_before_kill(workload_run(workload, algorithm), options,
+                              kill_events);
+}
+
 void expect_identical(const sched::SimulationResult& expected,
                       const sched::SimulationResult& actual,
                       const std::string& label) {
   SCOPED_TRACE(label);
-  EXPECT_EQ(expected.completed, actual.completed);
-  EXPECT_EQ(expected.killed, actual.killed);
-  EXPECT_EQ(expected.abandoned, actual.abandoned);
-  EXPECT_EQ(expected.unfinished, actual.unfinished);
-  EXPECT_EQ(expected.cycles, actual.cycles);
-  EXPECT_EQ(expected.events, actual.events);
-  EXPECT_EQ(expected.utilization, actual.utilization);
-  EXPECT_EQ(expected.mean_wait, actual.mean_wait);
-  EXPECT_EQ(expected.slowdown, actual.slowdown);
-  EXPECT_EQ(expected.makespan, actual.makespan);
-  EXPECT_EQ(expected.ecc.processed, actual.ecc.processed);
-  EXPECT_EQ(expected.ecc.conflicts, actual.ecc.conflicts);
-  EXPECT_EQ(expected.failure.outages, actual.failure.outages);
-  EXPECT_EQ(expected.failure.interruptions, actual.failure.interruptions);
-  EXPECT_EQ(expected.failure.requeues, actual.failure.requeues);
-  EXPECT_EQ(expected.failure.checkpoints, actual.failure.checkpoints);
-  EXPECT_EQ(expected.failure.saved_proc_seconds,
-            actual.failure.saved_proc_seconds);
-  EXPECT_EQ(expected.failure.wasted_proc_seconds,
-            actual.failure.wasted_proc_seconds);
-  ASSERT_EQ(expected.jobs.size(), actual.jobs.size());
-  for (std::size_t i = 0; i < expected.jobs.size(); ++i) {
-    const sched::JobOutcome& a = expected.jobs[i];
-    const sched::JobOutcome& b = actual.jobs[i];
-    EXPECT_EQ(a.id, b.id);
-    EXPECT_EQ(a.killed, b.killed);
-    EXPECT_EQ(a.abandoned, b.abandoned);
-    EXPECT_EQ(a.interruptions, b.interruptions);
-    EXPECT_EQ(a.procs, b.procs);
-    EXPECT_EQ(a.started, b.started) << "job " << a.id;
-    EXPECT_EQ(a.finished, b.finished) << "job " << a.id;
-    EXPECT_EQ(a.wait, b.wait);
-    EXPECT_EQ(a.run, b.run);
-  }
+  es::testing::expect_identical_results(expected, actual);
 }
 
-/// The exhaustive harness: kills the run at every event boundary from 1 to
-/// the uninterrupted event count, resumes each from its last snapshot, and
-/// requires bit-identical results.  Small workloads keep this affordable
-/// while covering every possible restore instant — including the awkward
-/// ones (nodes down, checkpoints banked, reservations pinned).
-void expect_every_kill_point_resumes(const workload::Workload& workload,
-                                     const std::string& algorithm,
-                                     const core::AlgorithmOptions& options) {
-  const sched::SimulationResult uninterrupted =
-      exp::run_workload(workload, algorithm, options);
+/// The exhaustive harness: kills the run at every `stride`-th event
+/// boundary from 1 to the uninterrupted event count, resumes each from its
+/// last snapshot, and requires bit-identical results.  Small workloads keep
+/// this affordable while covering every possible restore instant —
+/// including the awkward ones (nodes down, checkpoints banked, reservations
+/// pinned).
+void expect_kill_points_resume(const RunFn& run, const ResumeFn& resume,
+                               const core::AlgorithmOptions& options,
+                               std::uint64_t stride = 1) {
+  const sched::SimulationResult uninterrupted = run(options, {});
   ASSERT_EQ(uninterrupted.termination, sim::TerminationReason::kCompleted);
-  for (std::uint64_t kill = 1; kill <= uninterrupted.events; ++kill) {
-    const std::string image =
-        snapshot_before_kill(workload, algorithm, options, kill);
+  for (std::uint64_t kill = 1; kill <= uninterrupted.events; kill += stride) {
+    const std::string image = snapshot_before_kill(run, options, kill);
     sched::SimulationResult resumed;
     if (image.empty()) {
-      resumed = exp::run_workload(workload, algorithm, options);
+      resumed = run(options, {});  // killed before the first snapshot
     } else {
       snap::SnapshotReader reader(image);
-      resumed = exp::resume_workload(workload, algorithm, options, reader);
+      resumed = resume(reader);
     }
     expect_identical(uninterrupted, resumed,
                      "kill at " + std::to_string(kill) + " events");
   }
+}
+
+void expect_every_kill_point_resumes(const workload::Workload& workload,
+                                     const std::string& algorithm,
+                                     const core::AlgorithmOptions& options) {
+  expect_kill_points_resume(
+      workload_run(workload, algorithm),
+      [&](snap::SnapshotReader& reader) {
+        return exp::resume_workload(workload, algorithm, options, reader);
+      },
+      options);
 }
 
 core::AlgorithmOptions scripted_failure_options(
@@ -249,6 +245,37 @@ TEST(SnapshotRestore, AdaptivePolicyStateSurvivesRestore) {
     expect_identical(uninterrupted, resumed,
                      "kill at " + std::to_string(kill));
   }
+}
+
+TEST(SnapshotRestore, GeneratorSourceKillPointsResumeIdentically) {
+  // A run that never materializes its trace snapshots and resumes like any
+  // other: the resumed process re-generates the stream up to the saved
+  // cursor (8-job chunks, so kill points land on every side of a refill).
+  workload::GeneratorConfig config;
+  config.machine_procs = 320;
+  config.num_jobs = 48;
+  config.seed = 23;
+  config.target_load = 0.9;
+  config.p_dedicated = 0.3;
+  config.p_extend = 0.3;
+  config.p_reduce = 0.2;
+  core::AlgorithmOptions options;
+  options.engine.failure.enabled = true;
+  options.engine.failure.mtbf = 20000;
+  options.engine.checkpoint.enabled = true;
+  options.engine.checkpoint.interval = 1200;
+  const RunFn run = [&config](const core::AlgorithmOptions& opts,
+                              const auto& prepare) {
+    workload::GeneratorSource source(config, 8);
+    return exp::run_source(source, "Hybrid-LOS-E", opts, prepare);
+  };
+  expect_kill_points_resume(
+      run,
+      [&](snap::SnapshotReader& reader) {
+        workload::GeneratorSource source(config, 8);
+        return exp::resume_source(source, "Hybrid-LOS-E", options, reader);
+      },
+      options, 3);
 }
 
 TEST(SnapshotRestore, RejectsSnapshotOfADifferentWorkload) {

@@ -7,10 +7,12 @@
 
 #include <cstdint>
 
+#include "exp/experiment.hpp"
 #include "sched/engine.hpp"
 #include "sched/fcfs.hpp"
 #include "sched/perf.hpp"
 #include "testing/helpers.hpp"
+#include "workload/source.hpp"
 
 namespace es::sched {
 namespace {
@@ -234,12 +236,28 @@ TEST(AttachmentChain, ParanoidRunMatchesPlainRun) {
   const auto plain = exp::run_once(spec);
   spec.options.engine.paranoid = true;
   spec.options.engine.collect_cycle_stats = true;
-  const auto paranoid = exp::run_once(spec);
-  EXPECT_EQ(paranoid.utilization, plain.utilization);
-  EXPECT_EQ(paranoid.mean_wait, plain.mean_wait);
-  EXPECT_EQ(paranoid.slowdown, plain.slowdown);
-  EXPECT_EQ(paranoid.failure.interruptions, plain.failure.interruptions);
-  EXPECT_EQ(paranoid.cycles, plain.cycles);
+  testing::expect_identical_results(plain, exp::run_once(spec));
+
+  // The same audit on a run that never materializes its trace (8-job
+  // chunks, records released at retire): Hybrid-LOS-E with failures,
+  // checkpoints, dedicated jobs and ECCs.
+  spec.workload.num_jobs = 80;
+  spec.workload.p_dedicated = 0.3;
+  spec.workload.p_extend = 0.3;
+  spec.workload.p_reduce = 0.2;
+  spec.options.engine.failure.mtbf = 4000;
+  spec.options.engine.checkpoint.enabled = true;
+  spec.options.engine.checkpoint.interval = 600;
+  spec.options.engine.checkpoint.overhead = 10;
+  workload::GeneratorSource paranoid_source(spec.workload, 8);
+  const auto paranoid =
+      exp::run_source(paranoid_source, "Hybrid-LOS-E", spec.options);
+  spec.options.engine.paranoid = false;
+  workload::GeneratorSource plain_source(spec.workload, 8);
+  const auto streamed = exp::run_source(plain_source, "Hybrid-LOS-E", spec.options);
+  EXPECT_GT(streamed.failure.interruptions, 0u);
+  EXPECT_GT(streamed.ecc.processed, 0u);
+  testing::expect_identical_results(streamed, paranoid);
 }
 
 }  // namespace

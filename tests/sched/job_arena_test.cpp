@@ -186,19 +186,7 @@ TEST(JobRunArena, SnapshotRestoreRoundTrip) {
   const sched::SimulationResult resumed =
       exp::resume_workload(workload, "Delayed-LOS", {}, reader);
 
-  EXPECT_EQ(uninterrupted.completed, resumed.completed);
-  EXPECT_EQ(uninterrupted.killed, resumed.killed);
-  EXPECT_EQ(uninterrupted.cycles, resumed.cycles);
-  EXPECT_EQ(uninterrupted.events, resumed.events);
-  EXPECT_EQ(uninterrupted.utilization, resumed.utilization);
-  EXPECT_EQ(uninterrupted.mean_wait, resumed.mean_wait);
-  EXPECT_EQ(uninterrupted.makespan, resumed.makespan);
-  ASSERT_EQ(uninterrupted.jobs.size(), resumed.jobs.size());
-  for (std::size_t i = 0; i < uninterrupted.jobs.size(); ++i) {
-    EXPECT_EQ(uninterrupted.jobs[i].id, resumed.jobs[i].id);
-    EXPECT_EQ(uninterrupted.jobs[i].started, resumed.jobs[i].started);
-    EXPECT_EQ(uninterrupted.jobs[i].finished, resumed.jobs[i].finished);
-  }
+  testing::expect_identical_results(uninterrupted, resumed);
 }
 
 }  // namespace

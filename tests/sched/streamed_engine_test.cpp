@@ -1,13 +1,13 @@
-// Streamed-vs-materialized engine parity: Engine::run_streamed must
-// reproduce Engine::run byte for byte on the same workload — every
-// deterministic metric, counter, ledger and per-job outcome — across the
-// algorithm families, chunk sizes that force mid-run refills, ECC
-// processing, dedicated jobs, failure injection and checkpointing.  This is
-// the contract that lets the million-job bench gate the streaming path on a
-// golden fingerprint instead of trusting the memory savings blindly.
+// Chunk-size invariance of the one engine run path: Engine::run(workload)
+// drains a MaterializedSource in default-size chunks, and the same workload
+// pulled through small chunks that force mid-run refills must reproduce it
+// byte for byte — every deterministic metric, counter, ledger and per-job
+// outcome — across the algorithm families, ECC processing (including
+// commands issued before their job's arrival), dedicated jobs, failure
+// injection, checkpointing and watchdog aborts.  The GeneratorSource case
+// pins the never-materialized synthetic stream to generate() + run().
 #include <gtest/gtest.h>
 
-#include <cstring>
 #include <vector>
 
 #include "exp/experiment.hpp"
@@ -17,93 +17,6 @@
 
 namespace es {
 namespace {
-
-/// Bitwise equality for doubles: parity means the same bits, not just
-/// values within an epsilon.
-::testing::AssertionResult same_bits(double a, double b) {
-  if (std::memcmp(&a, &b, sizeof(double)) == 0)
-    return ::testing::AssertionSuccess();
-  return ::testing::AssertionFailure()
-         << a << " vs " << b << " (bitwise mismatch)";
-}
-
-void expect_jobs_identical(const sched::SimulationResult& m,
-                           const sched::SimulationResult& s) {
-  ASSERT_EQ(m.jobs.size(), s.jobs.size());
-  for (std::size_t i = 0; i < m.jobs.size(); ++i) {
-    const sched::JobOutcome& a = m.jobs[i];
-    const sched::JobOutcome& b = s.jobs[i];
-    EXPECT_EQ(a.id, b.id) << "job " << i;
-    EXPECT_EQ(a.dedicated, b.dedicated) << "job " << i;
-    EXPECT_EQ(a.killed, b.killed) << "job " << i;
-    EXPECT_EQ(a.abandoned, b.abandoned) << "job " << i;
-    EXPECT_EQ(a.interruptions, b.interruptions) << "job " << i;
-    EXPECT_EQ(a.procs, b.procs) << "job " << i;
-    EXPECT_TRUE(same_bits(a.arrival, b.arrival)) << "job " << i;
-    EXPECT_TRUE(same_bits(a.started, b.started)) << "job " << i;
-    EXPECT_TRUE(same_bits(a.finished, b.finished)) << "job " << i;
-    EXPECT_TRUE(same_bits(a.wait, b.wait)) << "job " << i;
-    EXPECT_TRUE(same_bits(a.run, b.run)) << "job " << i;
-  }
-}
-
-/// Every deterministic field (wall timings and peak RSS excluded).
-void expect_identical(const sched::SimulationResult& m,
-                      const sched::SimulationResult& s) {
-  EXPECT_TRUE(same_bits(m.utilization, s.utilization));
-  EXPECT_TRUE(same_bits(m.mean_wait, s.mean_wait));
-  EXPECT_TRUE(same_bits(m.slowdown, s.slowdown));
-  EXPECT_TRUE(same_bits(m.mean_per_job_slowdown, s.mean_per_job_slowdown));
-  EXPECT_TRUE(same_bits(m.mean_bounded_slowdown, s.mean_bounded_slowdown));
-  EXPECT_TRUE(same_bits(m.mean_run, s.mean_run));
-  EXPECT_TRUE(same_bits(m.max_wait, s.max_wait));
-  EXPECT_TRUE(same_bits(m.mean_dedicated_delay, s.mean_dedicated_delay));
-  EXPECT_EQ(m.dedicated_on_time, s.dedicated_on_time);
-  EXPECT_EQ(m.completed, s.completed);
-  EXPECT_EQ(m.killed, s.killed);
-  EXPECT_EQ(m.abandoned, s.abandoned);
-  EXPECT_TRUE(same_bits(m.first_arrival, s.first_arrival));
-  EXPECT_TRUE(same_bits(m.last_finish, s.last_finish));
-  EXPECT_TRUE(same_bits(m.makespan, s.makespan));
-  EXPECT_EQ(m.cycles, s.cycles);
-  EXPECT_EQ(m.events, s.events);
-  EXPECT_EQ(m.termination, s.termination);
-  EXPECT_EQ(m.unfinished, s.unfinished);
-  EXPECT_TRUE(same_bits(m.offered_load, s.offered_load));
-
-  EXPECT_EQ(m.ecc.processed, s.ecc.processed);
-  EXPECT_EQ(m.ecc.extensions, s.ecc.extensions);
-  EXPECT_EQ(m.ecc.reductions, s.ecc.reductions);
-  EXPECT_EQ(m.ecc.rejected, s.ecc.rejected);
-  EXPECT_EQ(m.ecc.unknown_job, s.ecc.unknown_job);
-  EXPECT_EQ(m.ecc.after_finish, s.ecc.after_finish);
-  EXPECT_EQ(m.ecc.running_resizes, s.ecc.running_resizes);
-  EXPECT_EQ(m.ecc.conflicts, s.ecc.conflicts);
-
-  EXPECT_EQ(m.failure.outages, s.failure.outages);
-  EXPECT_EQ(m.failure.interruptions, s.failure.interruptions);
-  EXPECT_EQ(m.failure.requeues, s.failure.requeues);
-  EXPECT_EQ(m.failure.abandoned, s.failure.abandoned);
-  EXPECT_TRUE(same_bits(m.failure.lost_proc_seconds,
-                        s.failure.lost_proc_seconds));
-  EXPECT_TRUE(same_bits(m.failure.wasted_proc_seconds,
-                        s.failure.wasted_proc_seconds));
-  EXPECT_TRUE(same_bits(m.failure.goodput_proc_seconds,
-                        s.failure.goodput_proc_seconds));
-  EXPECT_TRUE(same_bits(m.failure.down_proc_seconds,
-                        s.failure.down_proc_seconds));
-  EXPECT_EQ(m.failure.checkpoints, s.failure.checkpoints);
-  EXPECT_TRUE(same_bits(m.failure.saved_proc_seconds,
-                        s.failure.saved_proc_seconds));
-
-  EXPECT_EQ(m.perf.dp.calls, s.perf.dp.calls);
-  EXPECT_EQ(m.perf.dp.table_runs, s.perf.dp.table_runs);
-  EXPECT_EQ(m.perf.events.scheduled, s.perf.events.scheduled);
-  EXPECT_EQ(m.perf.events.cancelled, s.perf.events.cancelled);
-  EXPECT_EQ(m.perf.events.fired, s.perf.events.fired);
-
-  expect_jobs_identical(m, s);
-}
 
 /// Runs the workload both ways and asserts full parity.
 void check_parity(const workload::Workload& workload,
@@ -115,7 +28,7 @@ void check_parity(const workload::Workload& workload,
   workload::MaterializedSource source(workload, chunk_jobs);
   const sched::SimulationResult streamed =
       exp::run_source(source, algorithm, options);
-  expect_identical(materialized, streamed);
+  testing::expect_identical_results(materialized, streamed);
 }
 
 workload::GeneratorConfig small_config(int jobs = 120) {
@@ -206,9 +119,9 @@ TEST(StreamedEngine, MatchesWithCheckpointRestart) {
 }
 
 TEST(StreamedEngine, WatchdogAbortFoldsTheSameFinishedJobs) {
-  // Aborted runs have two documented divergences (utilization is an
-  // over-approximation in bounded mode, unfinished counts only built
-  // jobs), so assert the per-job folds instead of full parity.
+  // An aborted run drains the rest of its source, so `unfinished` and the
+  // offered load cover the whole trace, and utilization integrates up to
+  // the last finish, whatever the chunking.
   const workload::Workload workload = workload::generate(small_config());
   core::AlgorithmOptions options;
   options.engine.watchdog.max_events = 200;
@@ -217,13 +130,50 @@ TEST(StreamedEngine, WatchdogAbortFoldsTheSameFinishedJobs) {
   workload::MaterializedSource source(workload, 7);
   const sched::SimulationResult streamed =
       exp::run_source(source, "Delayed-LOS", options);
-  EXPECT_EQ(materialized.termination, streamed.termination);
   EXPECT_NE(materialized.termination, sim::TerminationReason::kCompleted);
-  EXPECT_EQ(materialized.completed, streamed.completed);
-  EXPECT_EQ(materialized.killed, streamed.killed);
-  EXPECT_TRUE(same_bits(materialized.mean_wait, streamed.mean_wait));
-  EXPECT_EQ(materialized.events, streamed.events);
-  expect_jobs_identical(materialized, streamed);
+  testing::expect_identical_results(materialized, streamed);
+
+  // By hand: job 1 frees its half of the machine at t=100, job 3 takes it
+  // at t=150, and the budget stops the run there.  Utilization covers
+  // [first arrival, last finish] = [0, 100] only.
+  options.engine.watchdog.max_events = 4;
+  const sched::SimulationResult hand = exp::run_workload(
+      testing::make_workload(64, 32,
+                             {testing::batch_job(1, 0, 32, 100),
+                              testing::batch_job(2, 0, 32, 1000),
+                              testing::batch_job(3, 150, 32, 1000)}),
+      "FCFS", options);
+  EXPECT_EQ(hand.utilization, 1.0);
+  EXPECT_EQ(hand.unfinished, 2u);
+}
+
+TEST(StreamedEngine, EccsBeforeTheirJobsArrivalAcrossChunkBoundaries) {
+  // Commands issued before their job arrives, some windows (and chunks)
+  // ahead of it, plus commands for ids the trace never holds: the source
+  // extends a chunk to its commands' targets, and unknown ids stay
+  // unknown-job at every chunk size.
+  std::vector<workload::Job> jobs;
+  for (int i = 0; i < 24; ++i)
+    jobs.push_back(testing::batch_job(i + 1, 50.0 * i, 8, 400.0));
+  using workload::EccType;
+  const workload::Workload workload = testing::make_workload(
+      64, 8, jobs,
+      {{10, 20, EccType::kExtendTime, 200},  // 940 s before job 20 arrives
+       {60, 6, EccType::kReduceTime, 100},
+       {120, 12, EccType::kExtendProcs, 8},
+       {130, 99, EccType::kExtendTime, 50},  // unknown id
+       {300, 24, EccType::kReduceProcs, 8},
+       {400, 3, EccType::kExtendTime, 60},   // after its job's arrival
+       {1300, 98, EccType::kReduceTime, 10}});
+  const sched::SimulationResult reference =
+      exp::run_workload(workload, "Delayed-LOS-E");
+  EXPECT_EQ(reference.ecc.unknown_job, 2u);
+  EXPECT_EQ(reference.ecc.processed, 5u);
+  for (const std::size_t chunk :
+       {std::size_t{1}, std::size_t{2}, std::size_t{5}}) {
+    SCOPED_TRACE(chunk);
+    check_parity(workload, "Delayed-LOS-E", {}, chunk);
+  }
 }
 
 TEST(StreamedEngine, GeneratorSourceStreamsWithoutMaterializing) {
@@ -237,7 +187,7 @@ TEST(StreamedEngine, GeneratorSourceStreamsWithoutMaterializing) {
   workload::GeneratorSource source(config, 16);
   const sched::SimulationResult streamed =
       exp::run_source(source, "Delayed-LOS");
-  expect_identical(materialized, streamed);
+  testing::expect_identical_results(materialized, streamed);
 }
 
 TEST(StreamedEngine, HandCraftedTieGroupsAtChunkBoundaries) {

@@ -3,7 +3,10 @@
 // outcomes for assertions.
 #pragma once
 
+#include <gtest/gtest.h>
+
 #include <algorithm>
+#include <cstring>
 #include <map>
 #include <utility>
 #include <string>
@@ -92,6 +95,52 @@ inline int peak_allocation(const sched::SimulationResult& result) {
     peak = std::max(peak, current);
   }
   return peak;
+}
+
+/// Bitwise equality: replaying the same floating-point operations gives
+/// the same bits, not just values within an epsilon.
+template <class T>
+::testing::AssertionResult same_bits(const T& a, const T& b) {
+  if (std::memcmp(&a, &b, sizeof(T)) == 0)
+    return ::testing::AssertionSuccess();
+  return ::testing::AssertionFailure() << a << " vs " << b;
+}
+
+/// Bit-for-bit equality of every deterministic result field (wall timings,
+/// peak RSS and the diagnostic event-queue peaks excluded): what two runs
+/// of one simulation — resumed, re-chunked or re-sourced — must share.
+inline void expect_identical_results(const sched::SimulationResult& m,
+                                     const sched::SimulationResult& s) {
+#define ES_SAME(field) EXPECT_TRUE(same_bits(m.field, s.field)) << #field
+  ES_SAME(utilization); ES_SAME(mean_wait); ES_SAME(slowdown);
+  ES_SAME(mean_per_job_slowdown); ES_SAME(mean_bounded_slowdown);
+  ES_SAME(mean_run); ES_SAME(max_wait); ES_SAME(mean_dedicated_delay);
+  ES_SAME(dedicated_on_time); ES_SAME(completed); ES_SAME(killed);
+  ES_SAME(abandoned); ES_SAME(first_arrival); ES_SAME(last_finish);
+  ES_SAME(makespan); ES_SAME(cycles); ES_SAME(events); ES_SAME(unfinished);
+  ES_SAME(offered_load); ES_SAME(ecc.processed); ES_SAME(ecc.extensions);
+  ES_SAME(ecc.reductions); ES_SAME(ecc.rejected); ES_SAME(ecc.unknown_job);
+  ES_SAME(ecc.after_finish); ES_SAME(ecc.running_resizes);
+  ES_SAME(ecc.conflicts); ES_SAME(failure.outages);
+  ES_SAME(failure.interruptions); ES_SAME(failure.requeues);
+  ES_SAME(failure.abandoned); ES_SAME(failure.lost_proc_seconds);
+  ES_SAME(failure.wasted_proc_seconds); ES_SAME(failure.goodput_proc_seconds);
+  ES_SAME(failure.down_proc_seconds); ES_SAME(failure.checkpoints);
+  ES_SAME(failure.saved_proc_seconds); ES_SAME(perf.dp.calls);
+  ES_SAME(perf.dp.table_runs); ES_SAME(perf.events.scheduled);
+  ES_SAME(perf.events.cancelled); ES_SAME(perf.events.fired);
+#undef ES_SAME
+  EXPECT_EQ(m.termination, s.termination);
+  ASSERT_EQ(m.jobs.size(), s.jobs.size());
+  for (std::size_t i = 0; i < m.jobs.size(); ++i) {
+    const sched::JobOutcome& a = m.jobs[i];
+    const sched::JobOutcome& b = s.jobs[i];
+#define ES_SAME(field) EXPECT_TRUE(same_bits(a.field, b.field)) << "job " << i
+    ES_SAME(id); ES_SAME(dedicated); ES_SAME(killed); ES_SAME(abandoned);
+    ES_SAME(interruptions); ES_SAME(procs); ES_SAME(arrival);
+    ES_SAME(started); ES_SAME(finished); ES_SAME(wait); ES_SAME(run);
+#undef ES_SAME
+  }
 }
 
 }  // namespace es::testing

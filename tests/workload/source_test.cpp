@@ -3,7 +3,7 @@
 // same values, same (arr, id) / (issue, job_id) order, chunk boundaries
 // that never split a same-instant tie group, and command windows that
 // concatenate to the normalize() order.  These invariants are what make
-// Engine::run_streamed byte-identical to Engine::run.
+// the engine's schedule independent of where a source cuts its chunks.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -157,6 +157,49 @@ TEST(MaterializedSource, NeverSplitsEqualArrivalGroups) {
     for (const Job& job : chunk.jobs)
       EXPECT_EQ(job.arr, chunk.jobs.front().arr);
   }
+}
+
+TEST(MaterializedSource, ExtendsAChunkToTheTargetOfAnEarlyCommand) {
+  // Job 5's command issues at t=50, two windows before job 5 arrives (400):
+  // the chunk holding the command grows until it builds job 5, while an
+  // unknown id's command neither counts nor extends anything.
+  std::vector<Job> jobs;
+  for (int i = 0; i < 6; ++i)
+    jobs.push_back(es::testing::batch_job(i + 1, 100.0 * i, 4, 50));
+  const Workload workload = es::testing::make_workload(
+      64, 8, jobs,
+      {{50, 5, EccType::kExtendTime, 10}, {150, 77, EccType::kExtendTime, 10}});
+  MaterializedSource source(workload, 1);
+  SourceChunk chunk;
+  ASSERT_TRUE(source.next_chunk(chunk));
+  ASSERT_EQ(chunk.jobs.size(), 5u);  // jobs 1..5: the target is built
+  EXPECT_EQ(chunk.ecc_counts[4], 1);
+  ASSERT_EQ(chunk.eccs.size(), 2u);  // window [0, 500) holds both
+  ASSERT_TRUE(source.next_chunk(chunk));
+  EXPECT_EQ(chunk.jobs.size(), 1u);
+  EXPECT_FALSE(source.next_chunk(chunk));
+}
+
+TEST(MaterializedSource, UnsortedWorkloadTravelsAsOneChunk) {
+  // A workload that was never normalize()d keeps its job order (the
+  // same-instant tie-break of a run over it) in a single chunk, and its
+  // commands arrive stably sorted by issue time — their firing order.
+  Workload workload;
+  workload.jobs = {es::testing::batch_job(1, 0, 4, 50),
+                   es::testing::batch_job(3, 200, 4, 50),
+                   es::testing::batch_job(2, 100, 4, 50)};
+  workload.eccs = {{250, 3, EccType::kExtendTime, 10},
+                   {120, 2, EccType::kExtendTime, 10},
+                   {250, 1, EccType::kExtendTime, 10}};
+  MaterializedSource source(workload, 1);
+  SourceChunk chunk;
+  ASSERT_TRUE(source.next_chunk(chunk));
+  ASSERT_EQ(chunk.jobs.size(), 3u);
+  EXPECT_EQ(chunk.jobs[1].id, 3);
+  ASSERT_EQ(chunk.eccs.size(), 3u);
+  EXPECT_EQ(chunk.eccs[0].job_id, 2);
+  EXPECT_EQ(chunk.eccs[1].job_id, 3);  // ties keep workload order
+  EXPECT_FALSE(source.next_chunk(chunk));
 }
 
 // --- GeneratorSource -------------------------------------------------------

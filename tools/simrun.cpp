@@ -174,7 +174,8 @@ int main(int argc, char** argv) {
   cli.add_flag("streamed", "pull the workload through the engine in bounded "
                "chunks instead of materializing it (synthetic workloads "
                "stream straight from the generator); results are "
-               "byte-identical, memory stays flat at million-job scale",
+               "byte-identical, memory stays flat at million-job scale, "
+               "and snapshots and --restore-from work as on any run",
                &streamed);
   cli.add_flag("no-calendar-queue", "order events through the plain binary "
                "heap instead of the calendar band (results are identical "
@@ -412,12 +413,6 @@ int main(int argc, char** argv) {
   if (!scenario_path.empty() && replications > 1)
     return flag_error("replications", "a scenario describes one fixed run; "
                       "use --replications 1");
-  if (streamed && !restore_from.empty())
-    return flag_error("streamed", "a streaming run keeps no retired-job "
-                      "history to restore into; drop --restore-from");
-  if (streamed && snapshot_every > 0)
-    return flag_error("streamed", "snapshots need the full job table; "
-                      "drop --snapshot-every or --streamed");
   if (streamed && !scenario_path.empty())
     return flag_error("streamed", "scenario files are materialized repros; "
                       "drop --scenario or --streamed");
@@ -508,7 +503,8 @@ int main(int argc, char** argv) {
       !es::core::make_algorithm(algorithm).policy->supports_dedicated())
     return flag_error("algorithm", "this workload contains dedicated jobs; "
                       "pick a dedicated-aware (-D/Hybrid) algorithm");
-  if (streamed && (synthetic || trace.empty()) && p_dedicated > 0 &&
+  const bool streamed_synthetic = streamed && (synthetic || trace.empty());
+  if (streamed_synthetic && p_dedicated > 0 &&
       !es::core::make_algorithm(algorithm).policy->supports_dedicated())
     return flag_error("algorithm", "streamed synthetic workloads with "
                       "--p-dedicated > 0 need a dedicated-aware (-D/Hybrid) "
@@ -570,24 +566,25 @@ int main(int argc, char** argv) {
       }
       auto reader = es::snap::read_snapshot_file(snapshot_path);
       std::printf("Resuming from snapshot %s\n", snapshot_path.c_str());
-      result = es::exp::resume_workload(workload, algorithm, options, reader);
+      if (streamed_synthetic) {
+        // Re-generate the stream up to the snapshot's cursor.
+        es::workload::GeneratorSource source(generator_config);
+        result = es::exp::resume_source(source, algorithm, options, reader);
+      } else {
+        result =
+            es::exp::resume_workload(workload, algorithm, options, reader);
+      }
     } catch (const es::snap::SnapshotError& error) {
       std::fprintf(stderr, "simrun: --restore-from: %s (%s)\n", error.what(),
                    es::snap::to_string(error.kind()));
       return error.kind() == es::snap::SnapshotErrorKind::kIo ? 3 : 6;
     }
-  } else if (streamed) {
-    if (synthetic || trace.empty()) {
-      es::workload::GeneratorSource source(generator_config);
-      result = es::exp::run_source(source, algorithm, options);
-    } else {
-      // Trace replay: the file is already parsed (CWF needs the whole file
-      // for its backward command references), but the engine still runs
-      // with the bounded streaming state.
-      es::workload::MaterializedSource source(workload);
-      result = es::exp::run_source(source, algorithm, options);
-    }
+  } else if (streamed_synthetic) {
+    es::workload::GeneratorSource source(generator_config);
+    result = es::exp::run_source(source, algorithm, options);
   } else {
+    // A parsed trace (CWF needs the whole file for its backward command
+    // references) runs with the same bounded engine state either way.
     result = es::exp::run_workload(workload, algorithm, options);
   }
 
