@@ -214,15 +214,14 @@ inline std::string result_fingerprint_csv(
 // ingestion mode.  The helpers below parameterize that shared shape so the
 // 10k table and the million-job soak measure the same thing.
 
-/// The scale benches' workload point: base geometry (M = 320) with the
-/// trace length, job mix and offered load of one cell.
+/// The scale benches' workload point: base geometry (M = 320) and the
+/// P_S = 0.5 mix with the trace length and offered load of one cell.
 inline workload::GeneratorConfig scale_workload(const BenchOptions& options,
                                                 std::size_t num_jobs,
-                                                double load,
-                                                double p_small = 0.5) {
+                                                double load) {
   workload::GeneratorConfig config = base_workload(options);
   config.num_jobs = num_jobs;
-  config.p_small = p_small;
+  config.p_small = 0.5;
   config.target_load = load;
   return config;
 }

@@ -32,8 +32,9 @@ void BM_BasicDp(benchmark::State& state) {
   }
   state.SetComplexityN(state.range(0));
 }
-// Queue length sweep at BlueGene/P capacity (10 grains) and at a
-// granularity-1 SP2 (128 grains).
+// Queue length sweep at BlueGene/P capacity (10 grains), at a
+// granularity-1 SP2 (128 grains) and at the granularity-1 wide machine
+// (4096 grains: every processor of M=4096 its own grain).
 BENCHMARK(BM_BasicDp)
     ->Args({10, 10})
     ->Args({50, 10})
@@ -41,6 +42,7 @@ BENCHMARK(BM_BasicDp)
     ->Args({1000, 10})
     ->Args({50, 128})
     ->Args({250, 128})
+    ->Args({250, 4096})
     ->Complexity(benchmark::oN);
 
 void BM_ReservationDp(benchmark::State& state) {
@@ -67,48 +69,6 @@ BENCHMARK(BM_ReservationDp)
     ->Args({50, 128})
     ->Args({250, 128})
     ->Complexity(benchmark::oN);
-
-/// SIMD row fill before/after at the granularity-1 wide-machine shape:
-/// arg 0 is queue length, arg 1 capacity in grains (4096 = every processor
-/// of the campaign machine its own grain), arg 2 the tier (0 = forced
-/// scalar, 1 = the runtime-detected vector kernel).  Each iteration runs
-/// the unconditional table fill (detail::, bypassing the fast path) and
-/// compares its selection against a scalar reference computed up front —
-/// the timing table doubles as a selection-identity proof on this host's
-/// kernel, aborting on the first divergence.
-void BM_BasicDpRowFill(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const int capacity = static_cast<int>(state.range(1));
-  const bool simd = state.range(2) != 0;
-  // Weights well under capacity so the optimum is a genuine subset choice,
-  // not "take everything" — the shape the row recurrence actually sweats.
-  const auto weights = random_weights(n, capacity / 8, 45);
-  es::core::DpWorkspace reference_ws;
-  es::core::set_dp_simd_enabled(false);
-  const auto expected =
-      es::core::detail::basic_dp_table(weights, capacity, reference_ws);
-  es::core::set_dp_simd_enabled(simd);
-  es::core::DpWorkspace ws;
-  for (auto _ : state) {
-    const auto selected =
-        es::core::detail::basic_dp_table(weights, capacity, ws);
-    if (selected != expected) {
-      state.SkipWithError("vector row fill diverged from scalar selection");
-      break;
-    }
-    benchmark::DoNotOptimize(selected);
-  }
-  state.SetLabel(simd ? es::core::dp_simd_level_name(es::core::dp_simd_level())
-                      : "scalar");
-  es::core::set_dp_simd_enabled(true);
-}
-BENCHMARK(BM_BasicDpRowFill)
-    ->Args({50, 512, 0})
-    ->Args({50, 512, 1})
-    ->Args({50, 4096, 0})
-    ->Args({50, 4096, 1})
-    ->Args({250, 4096, 0})
-    ->Args({250, 4096, 1});
 
 /// Whole-simulation cost per policy: events per second through the engine
 /// on the paper's 500-job point.

@@ -28,39 +28,24 @@
 //      then snapshotted every cycle, killed mid-run and resumed from the
 //      last snapshot, with the full deterministic result serialization
 //      byte-compared — snapshot/restore must be invisible in the science.
-//   8. blocked-parallel DP (PR 8): wide Basic_DP instances (capacities past
-//      the blocking threshold, the granularity-1 large-machine regime)
-//      filled serially and through the thread pool, with every selection
-//      compared element for element — the tiled double-buffered fill must
-//      be invisible in the selections — plus the cells/second of each.
+//  (8. removed with the blocked-parallel Basic_DP fill it compared.)
 //  (9. removed once Engine::run became a MaterializedSource drained through
 //      Engine::run_streamed: its streamed-vs-materialized parity is the
 //      same code path now; chunk-size invariance stays gated by
 //      tests/sched/streamed_engine_test.cpp.)
-//  10. event-throughput levers (PR 9): the granularity-1 wide-machine
-//      campaign shape with the calendar event queue and the SIMD DP rows
-//      both reverted vs the shipping defaults — fingerprints
-//      byte-compared (hard gate) — plus an *advisory* throughput check:
-//      when the committed BENCH_PR9.json was recorded on this same host
-//      profile (host_cores and threads both equal) and the lever-on leg
-//      lands more than 20% below its events/s, a ::warning:: annotation is
-//      emitted.  Never a failure: wall time on shared runners is too noisy
-//      to gate the build, but the annotation makes a creeping regression
-//      visible on the PR.
+// (10. removed with the DP SIMD rows and calendar-queue switch it
+//      reverted.)
 //
 // Counters and equivalence verdicts in the JSON are deterministic; every
 // *_seconds / *_per_second field is measurement and varies run to run.  CI
 // uploads the file as an artifact; the committed copy records the numbers
 // of one representative host.
-#include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
 
 #include "bench_common.hpp"
-#include "core/dp.hpp"
 #include "exp/experiment.hpp"
 #include "reference_event_queue.hpp"
 #include "sim/event_queue.hpp"
@@ -84,16 +69,6 @@ std::string slurp(const std::string& path) {
   std::ostringstream out;
   out << in.rdbuf();
   return out.str();
-}
-
-/// Minimal field scan for the flat JSON records this repo writes: the
-/// number following the first `"key":` at or after `from`, NaN if absent.
-double json_number_after(const std::string& text, const std::string& key,
-                         std::size_t from = 0) {
-  const std::string needle = "\"" + key + "\":";
-  const std::size_t at = text.find(needle, from);
-  if (at == std::string::npos) return std::nan("");
-  return std::strtod(text.c_str() + at + needle.size(), nullptr);
 }
 
 /// Events/sec of `queue` under the micro_sim schedule-then-drain workload
@@ -156,11 +131,6 @@ int main(int argc, char** argv) {
 #else
   std::string golden_path = "data/golden/kernel_equivalence.csv";
 #endif
-#ifdef ES_PR9_BASELINE
-  std::string pr9_baseline_path = ES_PR9_BASELINE;
-#else
-  std::string pr9_baseline_path = "BENCH_PR9.json";
-#endif
   {
     es::util::CliParser cli(
         "Perf baseline: campaign parallelism + DP hot path + event kernel "
@@ -181,10 +151,6 @@ int main(int argc, char** argv) {
     cli.add_option("golden",
                    "kernel-equivalence golden CSV to byte-compare against",
                    &golden_path);
-    cli.add_option("pr9-baseline",
-                   "committed BENCH_PR9.json for the advisory throughput "
-                   "gate",
-                   &pr9_baseline_path);
     cli.add_flag("quick", "fast mode: fewer points and seeds",
                  &options.quick);
     if (!cli.parse(argc, argv)) return 0;
@@ -432,106 +398,6 @@ int main(int argc, char** argv) {
     }
   }
 
-  // --- leg 8: blocked-parallel DP equivalence + throughput --------------
-  // Wide knapsack instances: n x cols tables past the blocking threshold,
-  // the shape a granularity-1 many-thousand-processor machine poses.  The
-  // serial and pooled fills must select identically on every instance;
-  // cells/second measures what the tiling buys on this host.
-  const int dp_instances = options.quick ? 4 : 12;
-  bool parallel_dp_identical = true;
-  double dp_serial_seconds = 0;
-  double dp_parallel_seconds = 0;
-  std::uint64_t dp_cells = 0;
-  {
-    es::util::Rng rng(options.seed + 99);
-    std::vector<std::vector<int>> instances;
-    std::vector<int> capacities;
-    for (int k = 0; k < dp_instances; ++k) {
-      const int capacity =
-          8191 + static_cast<int>(rng.uniform_int(0, 12000));
-      const int n = 50 + static_cast<int>(rng.uniform_int(0, 200));
-      std::vector<int> weights;
-      weights.reserve(static_cast<std::size_t>(n));
-      for (int i = 0; i < n; ++i)
-        weights.push_back(
-            static_cast<int>(rng.uniform_int(1, capacity / 2)));
-      dp_cells += static_cast<std::uint64_t>(n) *
-                  (static_cast<std::uint64_t>(capacity) + 1);
-      instances.push_back(std::move(weights));
-      capacities.push_back(capacity);
-    }
-    std::vector<std::vector<int>> serial_selected;
-    es::util::set_global_parallelism(1);
-    t0 = std::chrono::steady_clock::now();
-    for (int k = 0; k < dp_instances; ++k) {
-      es::core::DpWorkspace ws;
-      serial_selected.push_back(es::core::detail::basic_dp_table(
-          instances[static_cast<std::size_t>(k)],
-          capacities[static_cast<std::size_t>(k)], ws));
-    }
-    dp_serial_seconds = seconds_since(t0);
-    es::util::set_global_parallelism(parallel_jobs);
-    t0 = std::chrono::steady_clock::now();
-    for (int k = 0; k < dp_instances; ++k) {
-      es::core::DpWorkspace ws;
-      const auto parallel = es::core::detail::basic_dp_table(
-          instances[static_cast<std::size_t>(k)],
-          capacities[static_cast<std::size_t>(k)], ws);
-      if (parallel != serial_selected[static_cast<std::size_t>(k)])
-        parallel_dp_identical = false;
-    }
-    dp_parallel_seconds = seconds_since(t0);
-    es::util::set_global_parallelism(1);
-  }
-  const double parallel_dp_speedup =
-      dp_parallel_seconds > 0 ? dp_serial_seconds / dp_parallel_seconds : 0.0;
-
-  // --- leg 10: PR 9 event-throughput levers -----------------------------
-  // Same shape and sizing as the committed BENCH_PR9.json campaign leg so
-  // the measured events/s is comparable to the recorded baseline: at load
-  // 1.0 the backlog — and with it the per-event cost — grows with trace
-  // length, so comparing across different N would be meaningless.
-  const std::string pr9_text = slurp(pr9_baseline_path);
-  const double base_cores = json_number_after(pr9_text, "host_cores");
-  const double base_threads = json_number_after(pr9_text, "threads");
-  const double base_jobs = json_number_after(pr9_text, "num_jobs");
-  const std::size_t after_at = pr9_text.find("\"after\"");
-  const double base_eps =
-      after_at == std::string::npos
-          ? std::nan("")
-          : json_number_after(pr9_text, "events_per_second", after_at);
-  const std::size_t lever_jobs =
-      base_jobs > 0 ? static_cast<std::size_t>(base_jobs)
-                    : (options.quick ? 10000u : 50000u);
-  es::workload::GeneratorConfig lever_config =
-      es::bench::scale_workload(options, lever_jobs, 1.0, 0.2);
-  lever_config.machine_procs = 4096;
-  es::core::AlgorithmOptions lever_on = algo;
-  lever_on.engine.keep_job_outcomes = false;
-  lever_on.engine.granularity = 1;
-  lever_on.engine.machine_procs = 4096;
-  es::core::AlgorithmOptions lever_off = lever_on;
-  lever_off.engine.calendar_event_queue = false;
-  es::util::set_global_parallelism(options.parallel_jobs);
-  es::core::set_dp_simd_enabled(false);
-  const es::bench::ScaleLeg levers_off_leg =
-      es::bench::run_scale_leg(lever_config, "Delayed-LOS", lever_off, true);
-  es::core::set_dp_simd_enabled(true);
-  const es::bench::ScaleLeg levers_on_leg =
-      es::bench::run_scale_leg(lever_config, "Delayed-LOS", lever_on, true);
-  es::util::set_global_parallelism(1);
-  const bool levers_identical =
-      es::bench::result_fingerprint_csv(levers_off_leg.result) ==
-      es::bench::result_fingerprint_csv(levers_on_leg.result);
-  const bool profile_matches =
-      !std::isnan(base_cores) && !std::isnan(base_threads) &&
-      static_cast<int>(base_cores) ==
-          static_cast<int>(es::util::hardware_parallelism()) &&
-      static_cast<int>(base_threads) == options.parallel_jobs;
-  const bool throughput_regressed =
-      profile_matches && base_eps > 0 &&
-      levers_on_leg.events_per_second < 0.8 * base_eps;
-
   std::printf("campaign: serial %.3fs, parallel(%d) %.3fs, speedup %.2fx, "
               "csv identical: %s\n",
               serial_seconds, parallel_jobs, parallel_seconds, speedup,
@@ -557,35 +423,6 @@ int main(int argc, char** argv) {
   std::printf("crash recovery: %d algorithms snapshot/kill/restore, "
               "results identical: %s\n",
               crash_algorithms, crash_identical ? "yes" : "NO");
-  std::printf("parallel dp: %d wide instances (%.1fM cells), serial %.3fs "
-              "vs pooled %.3fs (%.2fx), selections identical: %s\n",
-              dp_instances, static_cast<double>(dp_cells) / 1e6,
-              dp_serial_seconds, dp_parallel_seconds, parallel_dp_speedup,
-              parallel_dp_identical ? "yes" : "NO");
-  std::printf("event-throughput levers: off %.0f ev/s, on %.0f ev/s "
-              "(%.2fx), results identical: %s\n",
-              levers_off_leg.events_per_second,
-              levers_on_leg.events_per_second,
-              levers_off_leg.events_per_second > 0
-                  ? levers_on_leg.events_per_second /
-                        levers_off_leg.events_per_second
-                  : 0.0,
-              levers_identical ? "yes" : "NO");
-  if (throughput_regressed) {
-    // GitHub Actions annotation; plain (if odd-looking) text elsewhere.
-    std::printf("::warning title=campaign throughput regression::"
-                "granularity-1 campaign leg measured %.0f events/s, more "
-                "than 20%% below the committed BENCH_PR9.json baseline "
-                "%.0f (same host profile: %d cores, %d threads)\n",
-                levers_on_leg.events_per_second, base_eps,
-                static_cast<int>(base_cores), static_cast<int>(base_threads));
-  } else if (!profile_matches) {
-    std::printf("advisory throughput gate: skipped (baseline %s: "
-                "host profile %s vs this host %u cores / %d threads)\n",
-                pr9_baseline_path.c_str(),
-                std::isnan(base_cores) ? "not found" : "differs",
-                es::util::hardware_parallelism(), options.parallel_jobs);
-  }
 
   const std::string out_path = "BENCH_PR5.json";
   const bool ok = es::util::write_file_atomic(
@@ -631,26 +468,7 @@ int main(int argc, char** argv) {
             << "},\n"
             << "  \"crash_recovery\": {\"algorithms\": " << crash_algorithms
             << ", \"identical\": " << (crash_identical ? "true" : "false")
-            << "},\n"
-            << "  \"parallel_dp\": {\"instances\": " << dp_instances
-            << ", \"cells\": " << dp_cells
-            << ", \"serial_seconds\": " << dp_serial_seconds
-            << ", \"parallel_seconds\": " << dp_parallel_seconds
-            << ", \"speedup\": " << parallel_dp_speedup
-            << ", \"selections_identical\": "
-            << (parallel_dp_identical ? "true" : "false") << "},\n"
-            << "  \"event_throughput\": {\"num_jobs\": " << lever_jobs
-            << ", \"levers_off_events_per_second\": "
-            << levers_off_leg.events_per_second
-            << ", \"levers_on_events_per_second\": "
-            << levers_on_leg.events_per_second << ", \"identical\": "
-            << (levers_identical ? "true" : "false")
-            << ", \"baseline_events_per_second\": "
-            << (base_eps > 0 ? base_eps : 0.0)
-            << ", \"baseline_profile_matches\": "
-            << (profile_matches ? "true" : "false")
-            << ", \"regressed_over_20pct\": "
-            << (throughput_regressed ? "true" : "false") << "}\n"
+            << "}\n"
             << "}\n";
         return out.good();
       });
@@ -662,10 +480,8 @@ int main(int argc, char** argv) {
   // The equivalences are correctness gates, not just measurements: the
   // parallel campaign, the slab kernel and the observer chain must all
   // leave the simulated science untouched.
-  // The advisory throughput check is deliberately absent here.
-  return (csv_identical && golden_identical &&
-          chain_identical && crash_identical && parallel_dp_identical &&
-          levers_identical)
+  return (csv_identical && golden_identical && chain_identical &&
+          crash_identical)
              ? 0
              : 1;
 }

@@ -19,23 +19,15 @@
 //      (deliberately off in the full-length legs — the ledger itself is
 //      O(N) memory), streamed vs materialized fingerprints must match down
 //      to every per-job line.
-//   4. campaign (PR 9): the granularity-1, 4096-processor, load-1.0 point —
-//      the wide-machine regime where the event-throughput levers bite —
-//      run twice: *before* (binary heap, scalar DP rows) and *after*
-//      (calendar band, vector rows).  The two runs must produce
-//      byte-identical result fingerprints; the events/s and DP
-//      ns/invocation delta is the PR 9 headline, recorded in
-//      BENCH_PR9.json.
 //
-// Exit status gates the three parity verdicts; throughput and RSS are
-// measurements, recorded in BENCH_PR8.json / BENCH_PR9.json for the
-// trajectory.  Every BENCH record carries `host_cores` and `threads`: the
-// PR 8 record was taken on a 1-core host, which made its speedup figure
-// meaningless without that provenance.
+// Exit status gates the two parity verdicts; throughput and RSS are
+// measurements, recorded in BENCH_PR8.json for the trajectory.  Every
+// BENCH record carries `host_cores` and `threads`: the PR 8 record was
+// taken on a 1-core host, which made its speedup figure meaningless
+// without that provenance.
 #include <cstdio>
 
 #include "bench_common.hpp"
-#include "core/dp.hpp"
 #include "util/atomic_file.hpp"
 #include "util/table.hpp"
 
@@ -84,39 +76,7 @@ int main(int argc, char** argv) {
       es::bench::result_fingerprint_csv(parity_streamed.result) ==
       es::bench::result_fingerprint_csv(parity_materialized.result);
 
-  // Leg 4 (PR 9): granularity-1 on a 4096-processor machine at load 1.0 —
-  // every processor is its own allocation grain, so DP capacities run to
-  // 4096 columns and the event rate is the bottleneck.  Run the identical
-  // workload twice: "before" reverts every PR 9 lever (binary-heap event
-  // queue, scalar DP rows); "after" is the shipping
-  // default.  p_small 0.2 biases toward wide jobs, the widest-table shape.
-  const std::size_t campaign_jobs = options.quick ? 20000 : 200000;
-  es::workload::GeneratorConfig campaign_config =
-      es::bench::scale_workload(options, campaign_jobs, 1.0, 0.2);
-  campaign_config.machine_procs = 4096;
-  es::core::AlgorithmOptions campaign = es::bench::algo_options(options);
-  campaign.engine.keep_job_outcomes = false;
-  campaign.engine.granularity = 1;
-  campaign.engine.machine_procs = 4096;
-
-  es::core::AlgorithmOptions campaign_off = campaign;
-  campaign_off.engine.calendar_event_queue = false;
-  es::core::set_dp_simd_enabled(false);
-  const es::bench::ScaleLeg campaign_before = es::bench::run_scale_leg(
-      campaign_config, "Delayed-LOS", campaign_off, true);
-  es::core::set_dp_simd_enabled(true);
-  const es::bench::ScaleLeg campaign_after =
-      es::bench::run_scale_leg(campaign_config, "Delayed-LOS", campaign, true);
-  const bool campaign_identical =
-      es::bench::result_fingerprint_csv(campaign_before.result) ==
-      es::bench::result_fingerprint_csv(campaign_after.result);
-
   const unsigned threads = es::util::global_parallelism();
-  const auto dp_ns = [](const es::bench::ScaleLeg& leg) {
-    const auto& dp = leg.result.perf.dp;
-    if (dp.table_runs == 0) return 0.0;
-    return 1e9 * dp.table_seconds / static_cast<double>(dp.table_runs);
-  };
 
   const auto mib = [](std::uint64_t bytes) {
     return static_cast<double>(bytes) / (1024.0 * 1024.0);
@@ -138,8 +98,6 @@ int main(int argc, char** argv) {
   row("materialized", big, materialized);
   row("parity streamed", parity_jobs, parity_streamed);
   row("parity materialized", parity_jobs, parity_materialized);
-  row("campaign g=1 before", campaign_jobs, campaign_before);
-  row("campaign g=1 after", campaign_jobs, campaign_after);
   table.render(std::cout);
 
   // PR 5's scale leg measured 1.30372e6 events/s at 10k jobs on the
@@ -155,16 +113,6 @@ int main(int argc, char** argv) {
   std::printf("parity: full-length %s, per-job (N=%zu) %s\n",
               full_identical ? "byte-identical" : "DIVERGED", parity_jobs,
               per_job_identical ? "byte-identical" : "DIVERGED");
-  std::printf(
-      "campaign g=1 p=4096: %.0f -> %.0f events/s (%.2fx), DP %.1f -> %.1f "
-      "ns/invocation, results %s\n",
-      campaign_before.events_per_second, campaign_after.events_per_second,
-      campaign_before.events_per_second > 0
-          ? campaign_after.events_per_second /
-                campaign_before.events_per_second
-          : 0.0,
-      dp_ns(campaign_before), dp_ns(campaign_after),
-      campaign_identical ? "byte-identical" : "DIVERGED");
 
   const std::string out_path = "BENCH_PR8.json";
   const bool ok = es::util::write_file_atomic(out_path, [&](std::ostream&
@@ -204,48 +152,5 @@ int main(int argc, char** argv) {
   }
   std::printf("[json] %s\n", out_path.c_str());
 
-  // PR 9 record: the campaign leg before/after with full provenance.
-  const std::string pr9_path = "BENCH_PR9.json";
-  const auto leg_json = [&](std::ostream& out, const char* name,
-                            const es::bench::ScaleLeg& leg) {
-    const auto& dp = leg.result.perf.dp;
-    out << "  \"" << name << "\": {\"wall_seconds\": " << leg.wall_seconds
-        << ", \"events_fired\": " << leg.events_fired
-        << ", \"events_per_second\": " << leg.events_per_second
-        << ", \"dp_table_runs\": " << dp.table_runs
-        << ", \"dp_table_seconds\": " << dp.table_seconds
-        << ", \"dp_ns_per_invocation\": " << dp_ns(leg) << "}";
-  };
-  const bool ok9 = es::util::write_file_atomic(pr9_path, [&](std::ostream&
-                                                                 out) {
-    out << "{\n"
-        << "  \"bench\": \"scale_1m\",\n"
-        << "  \"pr\": 9,\n"
-        << "  \"host_cores\": " << es::util::hardware_parallelism() << ",\n"
-        << "  \"threads\": " << threads << ",\n"
-        << "  \"campaign\": {\"num_jobs\": " << campaign_jobs
-        << ", \"target_load\": 1.0, \"p_small\": 0.2, \"granularity\": 1, "
-           "\"machine_procs\": 4096, \"algorithm\": \"Delayed-LOS\"},\n";
-    leg_json(out, "before", campaign_before);
-    out << ",\n";
-    leg_json(out, "after", campaign_after);
-    out << ",\n"
-        << "  \"speedup\": "
-        << (campaign_before.events_per_second > 0
-                ? campaign_after.events_per_second /
-                      campaign_before.events_per_second
-                : 0.0)
-        << ",\n"
-        << "  \"parity\": {\"campaign_identical\": "
-        << (campaign_identical ? "true" : "false") << "}\n"
-        << "}\n";
-    return out.good();
-  });
-  if (!ok9) {
-    std::fprintf(stderr, "scale_1m: cannot write %s\n", pr9_path.c_str());
-    return 3;
-  }
-  std::printf("[json] %s\n", pr9_path.c_str());
-  return (full_identical && per_job_identical && campaign_identical) ? 0
-                                                                       : 1;
+  return (full_identical && per_job_identical) ? 0 : 1;
 }

@@ -30,7 +30,6 @@ Engine::Engine(const EngineConfig& config, Scheduler& policy)
       progress_attach_(config.watchdog, &abort_),
       cycle_stats_attach_(policy),
       fairness_attach_(config.fairshare, config.machine_procs) {
-  sim_.set_calendar_band(config.calendar_event_queue);
   // The engine reads the busy integral only up to the last record it made
   // (see busy_at_last_finish_), so the tracker retains no step list.
   utilization_.set_bounded(true);

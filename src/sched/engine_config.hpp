@@ -84,11 +84,6 @@ struct EngineConfig {
   /// Keep the per-job JobOutcome ledger in SimulationResult::jobs.  O(jobs)
   /// memory: million-job runs that need only the aggregates turn it off.
   bool keep_job_outcomes = true;
-  /// Order pending events through the two-tier calendar band (PR 9) instead
-  /// of the plain binary heap.  Both structures realize the same strict
-  /// (time, class, seq) order, so results are byte-identical either way;
-  /// the switch exists for differential tests and before/after benchmarks.
-  bool calendar_event_queue = true;
   /// Attach a TraceObserver recording a full schedule audit trace
   /// (sched/trace.hpp) to the result.  Off by default — it grows with the
   /// event count.

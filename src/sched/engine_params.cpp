@@ -75,12 +75,7 @@ void register_engine_params(util::ParamRegistry& registry,
   // --- engine mechanics (behaviour-neutral; excluded from fingerprint) ---
   registry
       .add_bool("engine.keep_job_outcomes", &config.keep_job_outcomes,
-                "record the busy-processor timeline for utilization metrics")
-      .no_fingerprint();
-  registry
-      .add_bool("engine.calendar_event_queue", &config.calendar_event_queue,
-                "use the two-tier calendar event queue (pop order identical "
-                "to the binary heap)")
+                "keep the per-job JobOutcome ledger in the result")
       .no_fingerprint();
   registry
       .add_bool("engine.record_trace", &config.record_trace,

@@ -30,7 +30,8 @@
 // width change redistributes the band in one pass.  Both tiers order by the
 // same strict (time, class, seq) total order, so enabling or disabling the
 // band cannot change the pop sequence — the heap-only mode remains available
-// via set_band_enabled(false) for differential tests and benchmarks.
+// via set_band_enabled(false) as the oracle for differential tests and
+// benchmarks.
 #pragma once
 
 #include <algorithm>
@@ -122,11 +123,11 @@ class EventQueue {
   /// Lifetime traffic counters (see EventQueueCounters).
   const EventQueueCounters& counters() const { return counters_; }
 
-  /// Enables/disables the calendar band (on by default).  Off means every
-  /// event goes through the binary heap — the pre-PR9 kernel, kept for
-  /// differential tests and before/after benchmarks.  Only valid on a queue
-  /// that has never scheduled an event (the tiers do not rebalance on the
-  /// fly).
+  /// Enables/disables the calendar band (on by default; the engine always
+  /// runs with it).  Off means every event goes through the binary heap —
+  /// the oracle that the event-queue model test and micro_sim compare the
+  /// band against.  Only valid on a queue that has never scheduled an event
+  /// (the tiers do not rebalance on the fly).
   void set_band_enabled(bool enabled);
   bool band_enabled() const { return band_enabled_; }
 

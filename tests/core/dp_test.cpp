@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "util/rng.hpp"
-#include "util/thread_pool.hpp"
 
 namespace es::core {
 namespace {
@@ -106,6 +105,34 @@ TEST(BasicDp, PropertyMatchesBruteForce) {
     ASSERT_EQ(total(weights, chosen), brute_force_best(weights, capacity))
         << "round " << round;
     // Indices ascending and unique.
+    for (std::size_t i = 1; i < chosen.size(); ++i)
+      ASSERT_LT(chosen[i - 1], chosen[i]);
+  }
+  // Wide tables, up to the granularity-1 M=4096 shape: weights well under
+  // capacity so the optimum is a genuine subset choice, with zero-weight
+  // and over-capacity items mixed in (both must be skipped).
+  for (int round = 0; round < 60; ++round) {
+    const int n = static_cast<int>(rng.uniform_int(1, 14));
+    const int capacity = static_cast<int>(rng.uniform_int(128, 4096));
+    std::vector<int> weights;
+    for (int i = 0; i < n; ++i) {
+      const double kind = rng.uniform(0, 1);
+      if (kind < 0.1)
+        weights.push_back(0);
+      else if (kind < 0.2)
+        weights.push_back(capacity +
+                          static_cast<int>(rng.uniform_int(1, 64)));
+      else
+        weights.push_back(static_cast<int>(rng.uniform_int(1, capacity / 2)));
+    }
+    const auto chosen = basic_dp(weights, capacity, ws);
+    ASSERT_LE(total(weights, chosen), capacity);
+    ASSERT_EQ(total(weights, chosen), brute_force_best(weights, capacity))
+        << "wide round " << round;
+    for (int index : chosen) {
+      ASSERT_GT(weights[static_cast<std::size_t>(index)], 0);
+      ASSERT_LE(weights[static_cast<std::size_t>(index)], capacity);
+    }
     for (std::size_t i = 1; i < chosen.size(); ++i)
       ASSERT_LT(chosen[i - 1], chosen[i]);
   }
@@ -255,155 +282,6 @@ TEST(DpCounters, EveryCallIsCounted) {
   EXPECT_EQ(ws.counters.calls,
             ws.counters.fast_path + ws.counters.table_runs);
   EXPECT_GT(ws.counters.table_cells, 0u);
-}
-
-class BlockedDpTest : public ::testing::Test {
- protected:
-  void TearDown() override { util::set_global_parallelism(1); }
-};
-
-TEST_F(BlockedDpTest, WideTableSelectsIdenticallyUnderParallelFill) {
-  // Capacities past the blocking threshold, filled serial vs parallel: the
-  // blocked double-buffered fill must reproduce the in-place fill's
-  // selection bit for bit (same optimum AND same tie-breaks).
-  util::Rng rng(505);
-  for (int round = 0; round < 6; ++round) {
-    const int capacity = 8191 + static_cast<int>(rng.uniform_int(0, 9000));
-    const int n = 8 + static_cast<int>(rng.uniform_int(0, 24));
-    std::vector<int> weights;
-    for (int i = 0; i < n; ++i)
-      weights.push_back(static_cast<int>(rng.uniform_int(0, capacity / 2)));
-    util::set_global_parallelism(1);
-    DpWorkspace serial_ws;
-    const auto serial = detail::basic_dp_table(weights, capacity, serial_ws);
-    util::set_global_parallelism(4);
-    DpWorkspace parallel_ws;
-    const auto parallel =
-        detail::basic_dp_table(weights, capacity, parallel_ws);
-    ASSERT_EQ(parallel, serial) << "round " << round;
-    // Logical work accounting must not depend on the fill strategy.
-    EXPECT_EQ(parallel_ws.counters.table_cells,
-              serial_ws.counters.table_cells);
-  }
-}
-
-TEST_F(BlockedDpTest, NarrowTablesStaySerialAndIdentical) {
-  // Below the width threshold the pool must not engage; selections across
-  // parallelism settings are trivially identical because the same code runs.
-  util::Rng rng(606);
-  for (int round = 0; round < 20; ++round) {
-    const int capacity = 1 + static_cast<int>(rng.uniform_int(0, 100));
-    std::vector<int> weights;
-    const int n = 1 + static_cast<int>(rng.uniform_int(0, 12));
-    for (int i = 0; i < n; ++i)
-      weights.push_back(static_cast<int>(rng.uniform_int(0, 20)));
-    util::set_global_parallelism(1);
-    DpWorkspace a;
-    const auto serial = detail::basic_dp_table(weights, capacity, a);
-    util::set_global_parallelism(4);
-    DpWorkspace b;
-    ASSERT_EQ(detail::basic_dp_table(weights, capacity, b), serial);
-    ASSERT_EQ(total(weights, serial), brute_force_best(weights, capacity));
-  }
-}
-
-TEST_F(BlockedDpTest, ParallelFillHandlesSkippedAndBoundaryItems) {
-  // Zero-weight and over-capacity items interleaved with weights that land
-  // exactly on block boundaries (multiples of the 8192 block width).
-  const int capacity = 3 * 8192;
-  const std::vector<int> weights{0,    8192, capacity + 1, 1,
-                                 8191, 0,    16384,        3};
-  util::set_global_parallelism(1);
-  DpWorkspace serial_ws;
-  const auto serial = detail::basic_dp_table(weights, capacity, serial_ws);
-  util::set_global_parallelism(4);
-  DpWorkspace parallel_ws;
-  ASSERT_EQ(detail::basic_dp_table(weights, capacity, parallel_ws), serial);
-  for (int index : serial) {
-    EXPECT_NE(weights[static_cast<std::size_t>(index)], 0);
-    EXPECT_LE(weights[static_cast<std::size_t>(index)], capacity);
-  }
-}
-
-class SimdDpTest : public ::testing::Test {
- protected:
-  // Every test flips the process-wide SIMD toggle; always restore the
-  // default (enabled — the runtime probe still decides the actual tier).
-  void TearDown() override { set_dp_simd_enabled(true); }
-};
-
-TEST_F(SimdDpTest, DisabledTogglesReportScalar) {
-  set_dp_simd_enabled(false);
-  EXPECT_EQ(dp_simd_level(), DpSimdLevel::kScalar);
-  EXPECT_FALSE(dp_simd_enabled());
-  set_dp_simd_enabled(true);
-  EXPECT_TRUE(dp_simd_enabled());
-  // The enabled tier is whatever the host supports — just require a name.
-  EXPECT_NE(dp_simd_level_name(dp_simd_level()), nullptr);
-}
-
-TEST_F(SimdDpTest, VectorRowFillSelectsIdenticallyToScalar) {
-  // The tentpole contract for the vector kernels: across random instances
-  // wide enough to cross the SIMD width gate (capacity >= 128 grains), the
-  // widest supported tier and the forced-scalar fill must produce the same
-  // selection bit for bit — same optimum AND same tie-breaks — with the
-  // same logical cell count.
-  util::Rng rng(707);
-  for (int round = 0; round < 25; ++round) {
-    const int capacity = 128 + static_cast<int>(rng.uniform_int(0, 4000));
-    const int n = 4 + static_cast<int>(rng.uniform_int(0, 40));
-    std::vector<int> weights;
-    for (int i = 0; i < n; ++i)
-      weights.push_back(static_cast<int>(rng.uniform_int(0, capacity)));
-    set_dp_simd_enabled(false);
-    DpWorkspace scalar_ws;
-    const auto scalar = detail::basic_dp_table(weights, capacity, scalar_ws);
-    set_dp_simd_enabled(true);
-    DpWorkspace simd_ws;
-    const auto simd = detail::basic_dp_table(weights, capacity, simd_ws);
-    ASSERT_EQ(simd, scalar) << "round " << round;
-    EXPECT_EQ(simd_ws.counters.table_cells, scalar_ws.counters.table_cells);
-    ASSERT_LE(total(weights, simd), capacity);
-  }
-}
-
-TEST_F(SimdDpTest, VectorAndBlockedFillsComposeIdentically) {
-  // Past the blocking threshold the SIMD row kernel runs inside the
-  // blocked/parallel fill; all four (simd x parallel) combinations must
-  // agree on the selection.
-  util::Rng rng(808);
-  const int capacity = 8192 + static_cast<int>(rng.uniform_int(0, 4096));
-  std::vector<int> weights;
-  for (int i = 0; i < 24; ++i)
-    weights.push_back(static_cast<int>(rng.uniform_int(0, capacity / 2)));
-  std::vector<std::vector<int>> results;
-  for (const bool simd : {false, true}) {
-    for (const int jobs : {1, 4}) {
-      set_dp_simd_enabled(simd);
-      util::set_global_parallelism(jobs);
-      DpWorkspace ws;
-      results.push_back(detail::basic_dp_table(weights, capacity, ws));
-    }
-  }
-  util::set_global_parallelism(1);
-  for (std::size_t i = 1; i < results.size(); ++i)
-    ASSERT_EQ(results[i], results[0]) << "combination " << i;
-}
-
-TEST_F(SimdDpTest, BoundaryWidthsAgreeAcrossTiers) {
-  // Capacities straddling the vector-width epilogues (multiples of 4, 8
-  // and the 64-column keep words) and the 128-grain SIMD gate itself.
-  for (const int capacity : {126, 127, 128, 129, 191, 192, 255, 256, 320}) {
-    const std::vector<int> weights{1,  2,  63, 64, 65, 127, 128,
-                                   31, 96, 5,  capacity, capacity - 1};
-    set_dp_simd_enabled(false);
-    DpWorkspace scalar_ws;
-    const auto scalar = detail::basic_dp_table(weights, capacity, scalar_ws);
-    set_dp_simd_enabled(true);
-    DpWorkspace simd_ws;
-    ASSERT_EQ(detail::basic_dp_table(weights, capacity, simd_ws), scalar)
-        << "capacity " << capacity;
-  }
 }
 
 TEST(ReservationDp, WorkspaceReuseIsClean) {

@@ -30,7 +30,6 @@
 #include <string>
 
 #include "core/config_spine.hpp"
-#include "core/dp.hpp"
 #include "core/factory.hpp"
 #include "exp/analysis.hpp"
 #include "exp/experiment.hpp"
@@ -107,8 +106,6 @@ int main(int argc, char** argv) {
   int parallel_jobs = 1;
   bool perf_report = false;
   bool streamed = false;
-  bool no_calendar_queue = false;
-  bool no_dp_simd = false;
   unsigned long long seed = 1;
   double p_small = 0.5, p_dedicated = 0.0, p_extend = 0.0, p_reduce = 0.0;
   double load = 0.0;
@@ -177,11 +174,6 @@ int main(int argc, char** argv) {
                "byte-identical, memory stays flat at million-job scale, "
                "and snapshots and --restore-from work as on any run",
                &streamed);
-  cli.add_flag("no-calendar-queue", "order events through the plain binary "
-               "heap instead of the calendar band (results are identical "
-               "either way; for perf comparison)", &no_calendar_queue);
-  cli.add_flag("no-dp-simd", "force the scalar DP row kernel (selections "
-               "are identical either way; for perf comparison)", &no_dp_simd);
   cli.add_option("seed", "synthetic: RNG seed", &seed);
   cli.add_option("p-small", "synthetic: P_S", &p_small);
   cli.add_option("p-dedicated", "synthetic: P_D", &p_dedicated);
@@ -279,7 +271,6 @@ int main(int argc, char** argv) {
   if (cli.was_set("granularity")) options.engine.granularity = granularity;
   if (cli.was_set("cs")) options.max_skip_count = cs;
   if (cli.was_set("lookahead")) options.lookahead = lookahead;
-  if (no_calendar_queue) options.engine.calendar_event_queue = false;
   if (mtbf > 0) {
     options.engine.failure.enabled = true;
     options.engine.failure.mtbf = mtbf;
@@ -483,7 +474,6 @@ int main(int argc, char** argv) {
                 es::workload::offered_load(workload, procs));
   }
 
-  es::core::set_dp_simd_enabled(!no_dp_simd);
   if (have_scenario) {
     // The scenario owns the run-shaping knobs; CLI watchdog flags override
     // its budgets when explicitly set (e.g. to re-bound a runaway repro).
