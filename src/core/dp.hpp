@@ -20,11 +20,23 @@
 //  1. the *fast path* — when the total eligible demand fits the capacity
 //     (and, for Reservation_DP, the total shadow demand fits the shadow
 //     capacity), the optimum is "take everything", no table needed;
-//  2. the full table fill — one in-place scalar loop per item, descending
-//     over the capacity row — with the keep table bitpacked (1 bit per
-//     cell, 8x smaller than a byte table) for cache residency.
+//  2. the table fill — one in-place loop per item, descending over the
+//     capacity row, with the keep table bitpacked (1 bit per cell, 8x
+//     smaller than a byte table) for cache residency.  Each item row
+//     computes only the *reachable box*: with P_i the usable weight up to
+//     and including item i and R_i the usable weight after it, cells below
+//     C - R_i are not computed (the backtrack never reaches them; below
+//     C - R_total they are not even stored), cells at or above P_i take
+//     every item so far without a compare, and only
+//     [max(w_i, C - R_i), min(C, P_i - 1)] compares.
+//     Reservation_DP bounds each dimension the same way.  These are Toth's
+//     range bounds for the 0/1-knapsack DP (Kellerer, Pferschy & Pisinger,
+//     *Knapsack Problems*, sec. 2.3); every value the backtrack reads is
+//     the same as in the full table, so the selection, tie-breaks
+//     included, is too.
 // Both stages return bit-identical selections; the kernels stay pure
-// functions of their arguments.
+// functions of their arguments.  The selection is a view into the
+// workspace, valid until its next call.
 #pragma once
 
 #include <cstdint>
@@ -43,6 +55,7 @@ namespace es::core {
 struct DpWorkspace {
   std::vector<std::int64_t> value;  ///< dp table, flattened
   std::vector<std::uint64_t> keep;  ///< per-item take decisions, bitpacked
+  std::vector<int> selected;        ///< the last call's selection
 
   /// Per-cycle eligibility-scan scratch, reused by the LOS-family policies
   /// so the hot scheduling cycle performs no heap allocation.  The scans
@@ -57,30 +70,31 @@ struct DpWorkspace {
 
 /// Basic_DP.  `weights[i]` is the i-th waiting job's size in grains, in
 /// queue order; `capacity` the free grains.  Returns the selected indices,
-/// ascending.  Items with weight 0 are never selected (treat as ineligible).
-std::vector<int> basic_dp(std::span<const int> weights, int capacity,
-                          DpWorkspace& ws);
+/// ascending, as a view into `ws.selected` (valid until the next call on
+/// `ws`).  Items with weight 0 are never selected (treat as ineligible).
+std::span<const int> basic_dp(std::span<const int> weights, int capacity,
+                              DpWorkspace& ws);
 
 /// Reservation_DP.  `weights[i]` as above; `shadow_weights[i]` is the
 /// paper's `frenum` in grains: 0 if the job finishes (by estimate) before
 /// the freeze end time, else its size.  Selected sets satisfy
 ///   sum weights <= capacity  AND  sum shadow_weights <= shadow_capacity.
-std::vector<int> reservation_dp(std::span<const int> weights,
-                                std::span<const int> shadow_weights,
-                                int capacity, int shadow_capacity,
-                                DpWorkspace& ws);
+std::span<const int> reservation_dp(std::span<const int> weights,
+                                    std::span<const int> shadow_weights,
+                                    int capacity, int shadow_capacity,
+                                    DpWorkspace& ws);
 
 namespace detail {
 
 /// The unconditional table fills, bypassing the fast path.  Exposed for
 /// the equivalence tests and microbenchmarks that prove the fast path
 /// selects identically; production code calls the wrappers above.
-std::vector<int> basic_dp_table(std::span<const int> weights, int capacity,
-                                DpWorkspace& ws);
-std::vector<int> reservation_dp_table(std::span<const int> weights,
-                                      std::span<const int> shadow_weights,
-                                      int capacity, int shadow_capacity,
-                                      DpWorkspace& ws);
+std::span<const int> basic_dp_table(std::span<const int> weights,
+                                    int capacity, DpWorkspace& ws);
+std::span<const int> reservation_dp_table(std::span<const int> weights,
+                                          std::span<const int> shadow_weights,
+                                          int capacity, int shadow_capacity,
+                                          DpWorkspace& ws);
 
 }  // namespace detail
 

@@ -25,7 +25,11 @@ struct DpCounters {
                                  ///  (calls == fast_path + table_runs,
                                  ///   always)
   std::uint64_t table_runs = 0;  ///< full table fills (the expensive path)
-  std::uint64_t table_cells = 0; ///< DP cells touched across table fills
+  /// Logical table size summed over table runs: n x (C+1) cells for
+  /// Basic_DP, n x (C+1) x (C2+1) for Reservation_DP.  The fills compute
+  /// only the reachable part of that table (core/dp.hpp), so this is the
+  /// problem size, not the work done.
+  std::uint64_t table_cells = 0;
   /// Wall time inside full table fills.  Measurement, not simulation
   /// state; with table_runs this yields ns-per-DP-invocation.
   double table_seconds = 0;
