@@ -38,12 +38,18 @@ class Machine {
   /// `total` must be a positive multiple of `granularity`.
   Machine(int total, int granularity = 1);
 
-  /// Processors a request for `procs` actually occupies: the request rounded
-  /// up to the allocation granularity.  Inline: the scheduler's eligibility
-  /// scans call this once per scanned job per cycle.
-  int allocation_for(int procs) const {
+  /// Allocation units (granularity-sized grains) a request for `procs`
+  /// occupies: the request rounded up to whole grains.  Inline: the
+  /// scheduler's eligibility scans call this once per fitting job per cycle.
+  int grains_for(int procs) const {
     ES_EXPECTS(procs > 0);
-    return ((procs + granularity_ - 1) / granularity_) * granularity_;
+    return (procs + granularity_ - 1) / granularity_;
+  }
+
+  /// Processors a request for `procs` actually occupies: the request rounded
+  /// up to the allocation granularity.
+  int allocation_for(int procs) const {
+    return grains_for(procs) * granularity_;
   }
 
   /// True if a job of `procs` processors fits in the free pool right now.

@@ -26,6 +26,9 @@ bool DelayedLos::step(sched::SchedulerContext& ctx, int max_skip_count,
   if (head_alloc <= m) {
     // Lines 6-11: Basic_DP over the first `lookahead` waiting jobs.
     // Workspace scratch: this scan runs every cycle and must not allocate.
+    // `m` is whole grains, so a request fits (alloc_of <= m) exactly when
+    // num <= m: jobs that do not fit are skipped without a division.
+    ES_ASSERT(m % grain == 0);
     std::vector<sched::JobRun*>& eligible = ws.eligible_scratch;
     std::vector<int>& weights = ws.weights_scratch;
     eligible.clear();
@@ -33,10 +36,9 @@ bool DelayedLos::step(sched::SchedulerContext& ctx, int max_skip_count,
     int scanned = 0;
     for (sched::JobRun* job : *ctx.batch) {
       if (scanned++ >= lookahead) break;
-      const int alloc = ctx.alloc_of(*job);
-      if (alloc > m) continue;
+      if (job->num > m) continue;
       eligible.push_back(job);
-      weights.push_back(alloc / grain);
+      weights.push_back(ctx.machine->grains_for(job->num));
     }
     const auto selected = basic_dp(weights, m / grain, ws);
     ES_ASSERT(!selected.empty());  // the head alone always fits

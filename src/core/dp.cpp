@@ -106,7 +106,7 @@ std::int64_t reach_floor(int capacity, std::int64_t usable_total) {
 }
 
 /// Scope timer accumulating into DpCounters::table_seconds — the
-/// denominator behind `simrun --perf-report`'s ns-per-DP-invocation row.
+/// numerator of `simrun --perf-report`'s "DP ns per table run" row.
 class TableTimer {
  public:
   explicit TableTimer(DpWorkspace& ws)

@@ -17,6 +17,8 @@ ReservationDpOutcome run_reservation_dp(sched::SchedulerContext& ctx,
 
   // Eligible = first `lookahead` queue jobs that fit the free pool.
   // Workspace scratch: the scan runs every cycle and must not allocate.
+  // `m` is whole grains, so a request fits (alloc_of <= m) exactly when
+  // num <= m: jobs that do not fit are skipped without a division.
   std::vector<sched::JobRun*>& eligible = ws.eligible_scratch;
   std::vector<int>& weights = ws.weights_scratch;
   std::vector<int>& shadow_weights = ws.shadows_scratch;
@@ -26,20 +28,16 @@ ReservationDpOutcome run_reservation_dp(sched::SchedulerContext& ctx,
   int scanned = 0;
   for (sched::JobRun* job : *ctx.batch) {
     if (scanned++ >= lookahead) break;
-    const int alloc = ctx.alloc_of(*job);
-    if (alloc > m) continue;
+    if (job->num > m) continue;
+    const int grains = ctx.machine->grains_for(job->num);
     // The paper's frenum (Algorithm 1 line 16): a job whose estimate ends
     // strictly before the freeze end time needs no shadow capacity.
-    int frenum;
-    if (!freeze.active || ctx.now + job->estimated_duration() < freeze.fret) {
-      frenum = 0;
-    } else {
-      frenum = alloc;
-    }
-    job->frenum = frenum;
+    const bool needs_shadow =
+        freeze.active && !(ctx.now + job->estimated_duration() < freeze.fret);
+    job->frenum = needs_shadow ? grains * grain : 0;
     eligible.push_back(job);
-    weights.push_back(alloc / grain);
-    shadow_weights.push_back(frenum / grain);
+    weights.push_back(grains);
+    shadow_weights.push_back(needs_shadow ? grains : 0);
   }
   sched::JobRun* head = ctx.batch_head();
   outcome.head_eligible =

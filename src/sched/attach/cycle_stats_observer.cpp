@@ -9,9 +9,13 @@ void CycleStatsObserver::on_cycle_begin(const CycleInfo& info) {
   const std::uint64_t depth = info.batch_depth;
   ++stats_.queue_depth[CycleStats::bucket_of(depth)];
   if (depth > stats_.max_queue_depth) stats_.max_queue_depth = depth;
+  cycle_start_ = std::chrono::steady_clock::now();
 }
 
 void CycleStatsObserver::on_cycle_end(const CycleInfo& info) {
+  cycle_seconds_ += std::chrono::duration<double>(
+                        std::chrono::steady_clock::now() - cycle_start_)
+                        .count();
   (void)info;
   ++stats_.cycles;
   const std::uint64_t calls = policy_->dp_counters().calls;
@@ -29,6 +33,7 @@ void CycleStatsObserver::on_start(sim::Time now, const JobRun& job,
 
 void CycleStatsObserver::on_collect(SimulationResult& result) const {
   result.perf.cycle = stats_;
+  result.perf.cycle_seconds = cycle_seconds_;
 }
 
 void CycleStatsObserver::save_state(snap::SnapshotWriter& w) const {

@@ -6,8 +6,17 @@
 // PerfStats::cycle.  Everything is a fixed-size POD tally — no heap, no
 // influence on the schedule — surfaced by `simrun --perf-report` when
 // EngineConfig::collect_cycle_stats is set.
+//
+// It also owns the cycle wall timer (PerfStats::cycle_seconds): a clock
+// pair per cycle costs measurably on runs of millions of small cycles, so
+// only runs that ask for cycle statistics pay it.  The clock starts at the
+// end of on_cycle_begin and stops at the start of on_cycle_end, so it
+// covers the policy's cycle() plus any later observers' on_cycle_begin.
+// Measurement, not state: it is not snapshotted, and a resumed run times
+// only its own cycles.
 #pragma once
 
+#include <chrono>
 #include <cstdint>
 
 #include "sched/attach/observer.hpp"
@@ -52,6 +61,8 @@ class CycleStatsObserver final : public EngineObserver {
   std::uint64_t baseline_dp_calls_;
   std::uint64_t last_dp_calls_;
   CycleStats stats_;
+  std::chrono::steady_clock::time_point cycle_start_{};
+  double cycle_seconds_ = 0;
 };
 
 }  // namespace es::sched

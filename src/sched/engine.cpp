@@ -64,6 +64,24 @@ Engine::Engine(const EngineConfig& config, Scheduler& policy)
   // nondeterministic claim order across threads is harmless.
   static std::atomic<std::uint64_t> next_epoch{1};
   run_epoch_ = next_epoch.fetch_add(1, std::memory_order_relaxed);
+
+  // One policy view for the whole run: everything but `now` and
+  // `active_version` is fixed at construction, so run_cycle() refreshes
+  // only those two.  The active array is maintained sorted by (planned
+  // end, id) across all mutations — start, finish, preemption, ECC resize —
+  // so policies get a live view instead of a per-cycle copy and re-sort.
+  // start_job inserts new runners in order, which keeps the freeze math
+  // within a cycle coherent with the same (end, id) key.
+  ctx_.machine = &machine_;
+  ctx_.batch = &batch_queue_;
+  ctx_.dedicated = &dedicated_queue_;
+  ctx_.active = &active_;
+  ctx_.run_epoch = run_epoch_;
+  ctx_.start = [this](JobRun* job) { start_job(job); };
+  ctx_.move_dedicated_head_to_batch_head = [this] {
+    move_dedicated_head_to_batch_head();
+  };
+  ctx_.preempt = [this](JobRun* job) { preempt_running(job); };
 }
 
 // Out of line so the unique_ptr<snap::SnapshotRing> member can destroy its
@@ -254,29 +272,9 @@ void Engine::run_cycle() {
   ++cycles_;
   if (attachments_.has(Hook::kCycleBegin))
     attachments_.on_cycle_begin(cycle_info());
-  const auto cycle_start = std::chrono::steady_clock::now();
-
-  SchedulerContext ctx;
-  ctx.now = sim_.now();
-  ctx.machine = &machine_;
-  ctx.batch = &batch_queue_;
-  ctx.dedicated = &dedicated_queue_;
-  // The active array is maintained sorted by (planned end, id) across all
-  // mutations — start, finish, preemption, ECC resize — so the cycle hands
-  // policies a live view instead of copying and re-sorting a snapshot.
-  // start_job inserts new runners in order, which keeps the freeze math
-  // within the cycle coherent with the same (end, id) key.
-  ctx.active = &active_;
-  ctx.run_epoch = run_epoch_;
-  ctx.active_version = active_version_;
-  ctx.start = [this](JobRun* job) { start_job(job); };
-  ctx.move_dedicated_head_to_batch_head = [this] {
-    move_dedicated_head_to_batch_head();
-  };
-  ctx.preempt = [this](JobRun* job) { preempt_running(job); };
-
-  policy_->cycle(ctx);
-  cycle_seconds_ += seconds_since(cycle_start);
+  ctx_.now = sim_.now();
+  ctx_.active_version = active_version_;
+  policy_->cycle(ctx_);
   in_cycle_ = false;
   if (attachments_.has(Hook::kCycleEnd))
     attachments_.on_cycle_end(cycle_info());
@@ -867,7 +865,6 @@ SimulationResult Engine::finish_run(
   SimulationResult result = collect();
   result.perf.dp = policy_->dp_counters() - dp_baseline_;
   result.perf.events = sim_.queue().counters();
-  result.perf.cycle_seconds = cycle_seconds_;
   result.perf.wall_seconds = seconds_since(start);
   result.perf.peak_rss_bytes = util::peak_rss_bytes();
   return result;

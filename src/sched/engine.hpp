@@ -223,11 +223,14 @@ class Engine {
   /// numerator, exact for aborted runs whose tracker ran past it.
   double busy_at_last_finish_ = 0;
 
+  /// The policy's view, built once in the constructor; run_cycle()
+  /// refreshes `now` and `active_version` only.
+  SchedulerContext ctx_;
+
   // Perf observability: DP counters are policy-cumulative, so run() keeps a
-  // start snapshot and reports the delta; cycle wall time accumulates
-  // around every policy cycle() call.
+  // start snapshot and reports the delta.  The engine reads no clock per
+  // cycle: cycle wall time is CycleStatsObserver's (collect_cycle_stats).
   DpCounters dp_baseline_;
-  double cycle_seconds_ = 0;
 
   sim::TerminationReason termination_ = sim::TerminationReason::kCompleted;
 

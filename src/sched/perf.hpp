@@ -142,7 +142,9 @@ struct PerfStats {
   sim::EventQueueCounters events;  ///< kernel traffic for this run's queue
   CycleStats cycle;  ///< all-zero unless EngineConfig::collect_cycle_stats
   double wall_seconds = 0;   ///< whole run() wall time
-  double cycle_seconds = 0;  ///< wall time inside policy cycle() calls
+  /// Wall time inside policy cycle() calls; 0 unless
+  /// EngineConfig::collect_cycle_stats (timed by CycleStatsObserver).
+  double cycle_seconds = 0;
   /// Process peak RSS in bytes at run end (util::peak_rss_bytes).
   /// Process-global high-water: attribute to a run only when it is the
   /// first/only run in the process.  0 where the OS lacks the counter.

@@ -33,6 +33,29 @@ TEST(EnginePerf, DpCountersLandInSimulationResult) {
   EXPECT_LE(result.perf.cycle_seconds, result.perf.wall_seconds + 1e-3);
 }
 
+TEST(EnginePerf, CycleWallOnlyWithCycleStats) {
+  // The cycle wall timer belongs to CycleStatsObserver: a default run reads
+  // no clock per cycle and reports 0; a collect_cycle_stats run times every
+  // policy cycle, which cannot exceed the whole run.
+  const workload::Workload workload = fig7_workload();
+  core::Algorithm algorithm = core::make_algorithm("Delayed-LOS");
+  ASSERT_NE(algorithm.policy, nullptr);
+  EngineConfig config;
+  config.machine_procs = workload.machine_procs;
+  config.granularity = workload.granularity;
+  const SimulationResult plain = simulate(config, *algorithm.policy, workload);
+  EXPECT_EQ(plain.perf.cycle_seconds, 0.0);
+
+  config.collect_cycle_stats = true;
+  const SimulationResult timed = simulate(config, *algorithm.policy, workload);
+  EXPECT_GT(timed.perf.cycle.cycles, 0u);
+  EXPECT_GT(timed.perf.cycle_seconds, 0.0);
+  EXPECT_LE(timed.perf.cycle_seconds, timed.perf.wall_seconds);
+  // Measurement only: the schedule is the same.
+  EXPECT_EQ(plain.mean_wait, timed.mean_wait);
+  EXPECT_EQ(plain.cycles, timed.cycles);
+}
+
 TEST(EnginePerf, ReservationPoliciesAlsoCount) {
   // Hybrid-LOS exercises the 2-D reservation kernel once its head blocks.
   const workload::Workload workload = fig7_workload();

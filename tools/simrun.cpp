@@ -647,7 +647,7 @@ int main(int argc, char** argv) {
   }
 
   if (perf_report) {
-    // Counters are deterministic; the two wall rows are measurement only.
+    // Counters are deterministic; the wall rows are measurement only.
     const es::sched::PerfStats& perf = result.perf;
     es::util::AsciiTable perf_table("perf — hot-path breakdown");
     perf_table.set_columns({"counter", "value"});
@@ -672,7 +672,7 @@ int main(int argc, char** argv) {
               0)
         .end_row();
     perf_table.cell("DP table wall (s)").cell(perf.dp.table_seconds, 4).end_row();
-    perf_table.cell("DP ns per invocation")
+    perf_table.cell("DP ns per table run")
         .cell(perf.dp.table_runs > 0
                   ? 1e9 * perf.dp.table_seconds /
                         static_cast<double>(perf.dp.table_runs)
